@@ -2,6 +2,8 @@
 // marginal-gain evaluation, cursor traversal, topic inference, and window
 // advancement — the building blocks whose costs the paper's complexity
 // analysis (Sections 4.1-4.3) is written in terms of.
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -46,17 +48,25 @@ SharedSetup& Setup() {
   return *kSetup;
 }
 
+// Both list benches carry each element's listed score and handle, as the
+// maintenance pipeline does; slot id % n holds the live element's state.
 void BM_RankedListInsertErase(benchmark::State& state) {
   RankedList list;
   Rng rng(1);
   const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> scores(n);
+  std::vector<RankedList::Handle> handles(n);
   for (std::size_t i = 0; i < n; ++i) {
-    list.Insert(static_cast<ElementId>(i), rng.NextDouble());
+    scores[i] = rng.NextDouble();
+    handles[i] = list.Insert(static_cast<ElementId>(i), scores[i]);
   }
   ElementId next = static_cast<ElementId>(n);
   for (auto _ : state) {
-    list.Insert(next, rng.NextDouble());
-    list.Erase(next - static_cast<ElementId>(n));
+    const auto slot = static_cast<std::size_t>(next) % n;
+    list.EraseHandle(next - static_cast<ElementId>(n), scores[slot],
+                     handles[slot]);
+    scores[slot] = rng.NextDouble();
+    handles[slot] = list.Insert(next, scores[slot]);
     ++next;
   }
   state.SetItemsProcessed(state.iterations());
@@ -67,12 +77,18 @@ void BM_RankedListUpdate(benchmark::State& state) {
   RankedList list;
   Rng rng(2);
   const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> scores(n);
+  std::vector<RankedList::Handle> handles(n);
   for (std::size_t i = 0; i < n; ++i) {
-    list.Insert(static_cast<ElementId>(i), rng.NextDouble());
+    scores[i] = rng.NextDouble();
+    handles[i] = list.Insert(static_cast<ElementId>(i), scores[i]);
   }
   for (auto _ : state) {
-    const auto id = static_cast<ElementId>(rng.NextUint64(n));
-    list.Update(id, rng.NextDouble());
+    const auto id = static_cast<std::size_t>(rng.NextUint64(n));
+    const double score = rng.NextDouble();
+    list.UpdateHandle(RankedList::HandleUpdate{
+        static_cast<ElementId>(id), scores[id], score, &handles[id]});
+    scores[id] = score;
   }
   state.SetItemsProcessed(state.iterations());
 }

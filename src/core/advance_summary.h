@@ -18,8 +18,8 @@
 //
 // `max_movement` is observational: exact (max |new - old listed|, with
 // inserts/erases contributing |listed|) on the incremental maintenance
-// paths, best-effort on the kRecompute reference baseline (score
-// magnitudes; 0 for erases). Activation decisions use topic membership
+// pipeline, best-effort on the kRecompute oracle (score magnitudes; 0 for
+// erases). Activation decisions use topic membership
 // only.
 #ifndef KSIR_CORE_ADVANCE_SUMMARY_H_
 #define KSIR_CORE_ADVANCE_SUMMARY_H_

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <string>
 
@@ -69,22 +70,36 @@ Status ValidateEngineConfig(const EngineConfig& config) {
   return Status::OK();
 }
 
-bool UsesHandlePipeline(const EngineConfig& config) {
-  return config.carry_handles &&
-         config.score_maintenance == ScoreMaintenance::kIncremental &&
-         config.reposition_batch_min > 0;
+bool UsesParallelMaintenance(const EngineConfig& config) {
+  return config.score_maintenance == ScoreMaintenance::kIncremental &&
+         config.maintenance_threads >= 2;
 }
 
-bool UsesParallelMaintenance(const EngineConfig& config) {
-  return UsesHandlePipeline(config) && config.maintenance_threads >= 2;
+Status ValidateTopicVectors(const std::vector<SocialElement>& bucket,
+                            std::size_t num_topics) {
+  for (const SocialElement& e : bucket) {
+    for (const auto& [topic, weight] : e.topics.entries()) {
+      if (topic < 0 || static_cast<std::size_t>(topic) >= num_topics) {
+        return Status::InvalidArgument(
+            "element " + std::to_string(e.id) + ": topic id " +
+            std::to_string(topic) + " outside [0, " +
+            std::to_string(num_topics) + ")");
+      }
+      if (!std::isfinite(weight) || weight <= 0.0) {
+        return Status::InvalidArgument(
+            "element " + std::to_string(e.id) + ": topic " +
+            std::to_string(topic) + " has non-finite or non-positive weight");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 KsirEngine::KsirEngine(EngineConfig config, const TopicModel* model,
                        WorkerPool* maintenance_pool, Telemetry* telemetry)
     : config_(config),
       window_(config.window_length, config.archive_retention),
-      index_(model != nullptr ? model->num_topics() : 1,
-             /*track_ids=*/!UsesHandlePipeline(config)),
+      index_(model != nullptr ? model->num_topics() : 1),
       scoring_(model, &window_, config.scoring),
       owned_telemetry_(telemetry == nullptr
                            ? std::make_unique<Telemetry>(config.telemetry)
@@ -101,8 +116,7 @@ KsirEngine::KsirEngine(EngineConfig config, const TopicModel* model,
                                        /*fallback=*/1, telemetry_)
                       : nullptr),
       maintainer_(&scoring_, &index_, config.refresh_mode,
-                  config.score_maintenance, config.reposition_batch_min,
-                  config.carry_handles,
+                  config.score_maintenance,
                   maintenance_pool != nullptr ? maintenance_pool
                                               : owned_pool_.get(),
                   config.maintenance_threads, telemetry_) {
@@ -136,6 +150,7 @@ Status KsirEngine::AdvanceTo(Timestamp bucket_end,
         "no-op bucket: empty bucket at the current engine time " +
         std::to_string(bucket_end));
   }
+  KSIR_RETURN_NOT_OK(ValidateTopicVectors(bucket, index_.num_topics()));
   WallTimer timer;
   const std::size_t n = bucket.size();
   KSIR_ASSIGN_OR_RETURN(ActiveWindow::UpdateResult update,

@@ -37,29 +37,17 @@ struct EngineConfig {
   /// <= 0 means "same as window_length" (see ActiveWindow).
   Timestamp archive_retention = 0;
   RefreshMode refresh_mode = RefreshMode::kExact;
-  /// Reposition scoring strategy; kIncremental is the production path,
-  /// kRecompute the slow reference baseline (see IndexMaintainer).
+  /// Reposition scoring strategy; kIncremental is the production pipeline,
+  /// kRecompute the slow reference oracle (see IndexMaintainer).
   ScoreMaintenance score_maintenance = ScoreMaintenance::kIncremental;
-  /// Minimum pending repositions per ranked list (per bucket) before the
-  /// incremental maintainer applies them as one merge sweep instead of
-  /// per-element updates. 0 disables batching (the single-reposition
-  /// reference path, kept for equivalence testing and benchmarking).
-  std::size_t reposition_batch_min = kDefaultRepositionBatchMin;
-  /// Carry ranked-list position handles through the maintenance pipeline
-  /// (window -> score cache -> maintainer -> ranked lists), eliminating the
-  /// per-tuple id-table hash probes of the reposition hot path. false keeps
-  /// the id-keyed batched baseline (the PR 3 path) for equivalence testing
-  /// and benchmarking. Only meaningful under kIncremental with batching on.
-  bool carry_handles = true;
-  /// Participants in the staged parallel bucket maintenance (the
-  /// element-sharded scoring/folding stage and the topic-sharded list
-  /// stage; see IndexMaintainer). 0/1 = the serial reference path. Only
-  /// the handle pipeline parallelizes; other maintenance flavors ignore
-  /// this. The advancing thread is one participant — the engine spawns (or
-  /// shares; see KsirEngine's pool parameter and ServiceConfig) a runtime
-  /// WorkerPool for the remaining maintenance_threads - 1. Determinism
-  /// contract: the parallel apply is bitwise-identical to the serial
-  /// handle path, so this knob trades threads for latency only.
+  /// Participants P of the staged bucket-maintenance pipeline (see
+  /// IndexMaintainer); P = max(1, maintenance_threads), and 0/1 run every
+  /// stage inline on the advancing thread. The advancing thread is one
+  /// participant — for P >= 2 the engine spawns (or shares; see
+  /// KsirEngine's pool parameter and ServiceConfig) a runtime WorkerPool
+  /// for the remaining P - 1. Determinism contract: the lists, handles and
+  /// cached scores are bitwise-identical for every P, so this knob trades
+  /// threads for latency only. The kRecompute oracle ignores it.
   std::size_t maintenance_threads = 0;
   /// Balance cap of the service's chain-affinity shard router: routing an
   /// element onto a shard whose RECENT load (placements within the
@@ -104,15 +92,17 @@ Status AppendInBuckets(
 /// without dying; the KsirEngine constructor still CHECK-fails on them.
 Status ValidateEngineConfig(const EngineConfig& config);
 
-/// True when `config` drives the handle-carrying maintenance pipeline —
-/// incremental maintenance with batching and handle carrying on. The
-/// ranked lists then drop their id side tables entirely (positions flow
-/// through handles and self-locating carried keys).
-bool UsesHandlePipeline(const EngineConfig& config);
-
-/// True when `config` runs bucket maintenance on the staged parallel path
-/// (handle pipeline with maintenance_threads >= 2).
+/// True when `config` runs the bucket-maintenance pipeline with P >= 2
+/// participants (kIncremental with maintenance_threads >= 2), i.e. needs a
+/// WorkerPool.
 bool UsesParallelMaintenance(const EngineConfig& config);
+
+/// Checks that every element of `bucket` carries a usable topic vector:
+/// topic ids in [0, num_topics) and finite, positive weights. Ingestion
+/// seams call it before mutating any state, so hostile input is rejected
+/// with InvalidArgument instead of reaching the ranked lists' checks.
+Status ValidateTopicVectors(const std::vector<SocialElement>& bucket,
+                            std::size_t num_topics);
 
 /// Self-contained export of one active element: the element itself plus its
 /// current in-window referrers (the influenced set I_t(e)). Everything a

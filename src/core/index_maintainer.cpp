@@ -5,25 +5,32 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/small_vector.h"
 #include "runtime/worker_pool.h"
 
 namespace ksir {
+namespace {
+
+/// Lists with at least this many repositions in a bucket take the one-pass
+/// ApplyBatchHandles merge sweep; sparser lists reposition per element.
+/// The hot-path bench's threshold sweep (1-16) was flat within noise.
+constexpr std::size_t kMergeRunMin = 2;
+
+}  // namespace
 
 IndexMaintainer::IndexMaintainer(const ScoringContext* ctx,
                                  RankedListIndex* index, RefreshMode mode,
                                  ScoreMaintenance maintenance,
-                                 std::size_t reposition_batch_min,
-                                 bool carry_handles, WorkerPool* pool,
+                                 WorkerPool* pool,
                                  std::size_t parallel_workers,
                                  Telemetry* telemetry)
     : ctx_(ctx),
       index_(index),
       mode_(mode),
       maintenance_(maintenance),
-      batch_min_(reposition_batch_min),
-      use_handles_(carry_handles &&
-                   maintenance == ScoreMaintenance::kIncremental &&
-                   reposition_batch_min > 0),
+      pool_(pool),
+      workers_(pool != nullptr ? std::max<std::size_t>(1, parallel_workers)
+                               : 1),
       owned_telemetry_(telemetry == nullptr ? std::make_unique<Telemetry>()
                                             : nullptr),
       telemetry_(telemetry != nullptr ? telemetry : owned_telemetry_.get()),
@@ -61,24 +68,16 @@ IndexMaintainer::IndexMaintainer(const ScoringContext* ctx,
       "ksir_maintainer_elisions_total",
       "Reposition tuples elided because the composed score equals the "
       "listed score");
-  topic_counts_.resize(index->num_topics(), 0);
-  summary_movement_.resize(index->num_topics(), 0.0);
-  summary_seen_.resize(index->num_topics(), 0);
-  edge_acc_.Resize(index->num_topics());
-  // Only the handle pipeline parallelizes: its per-topic runs carry every
-  // position and listed key, so the topic stage needs no shared lookups at
-  // all. Other flavors fall back to their serial reference paths.
-  parallel_ = pool != nullptr && parallel_workers >= 2 && use_handles_;
-  if (parallel_) {
-    pool_ = pool;
-    workers_ = parallel_workers;
-    insert_counts_.resize(index->num_topics(), 0);
-    erase_seen_.resize(index->num_topics(), 0);
-    topic_shard_.resize(index->num_topics(), 0);
+  const std::size_t num_topics = index->num_topics();
+  summary_movement_.resize(num_topics, 0.0);
+  summary_seen_.resize(num_topics, 0);
+  if (maintenance_ == ScoreMaintenance::kIncremental) {
+    insert_counts_.resize(num_topics, 0);
+    update_counts_.resize(num_topics, 0);
+    erase_seen_.resize(num_topics, 0);
+    topic_shard_.resize(num_topics, 0);
     worker_acc_.resize(workers_);
-    for (StampedAccumulator& acc : worker_acc_) {
-      acc.Resize(index->num_topics());
-    }
+    for (StampedAccumulator& acc : worker_acc_) acc.Resize(num_topics);
     worker_scratch_.resize(workers_);
   }
 }
@@ -125,18 +124,6 @@ void IndexMaintainer::TouchSummary(TopicId topic, double movement) {
   if (movement > summary_movement_[slot]) summary_movement_[slot] = movement;
 }
 
-void IndexMaintainer::TouchElidedLoss(const ScoreCache::TopicList& halves,
-                                      const StampedAccumulator& acc) {
-  const double factor = ctx_->influence_factor();
-  for (const ScoreCache::TopicHalves& half : halves) {
-    const auto slot = static_cast<std::size_t>(half.topic);
-    if (acc.Touched(slot)) {
-      TouchSummary(half.topic,
-                   std::abs(factor * half.topic_prob * acc.Get(slot)));
-    }
-  }
-}
-
 void IndexMaintainer::MaterializeSummary() {
   summary_.topics.clear();
   std::sort(summary_topics_.begin(), summary_topics_.end());
@@ -149,230 +136,6 @@ void IndexMaintainer::MaterializeSummary() {
     summary_seen_[slot] = 0;
   }
   summary_topics_.clear();
-}
-
-void IndexMaintainer::EraseExpired(const ActiveWindow::Touched& t) {
-  // Expired ids are no longer in the window store. With handle carrying
-  // on, the cache entry (reached through the carried user slot) already
-  // knows every list position and listed key of the dying element, so the
-  // erases resolve through the carried hints instead of per-list id
-  // probes.
-  if (use_handles_) {
-    // Under the handle pipeline every indexed element owns a cache entry
-    // for its whole lifetime, and the id-keyed Erase below would abort on
-    // the untracked lists anyway — so a missing entry here is a pipeline
-    // bug, not a recoverable state.
-    const ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
-    KSIR_CHECK(halves != nullptr);
-    KSIR_DCHECK(halves == cache_.Find(t.id));
-    hint_scratch_.clear();
-    for (const ScoreCache::TopicHalves& half : *halves) {
-      hint_scratch_.push_back(
-          RankedList::ErasureHint{half.topic, half.listed, half.handle});
-      TouchSummary(half.topic, std::abs(half.listed));
-    }
-    index_->EraseWithHints(t.id, hint_scratch_.data(), hint_scratch_.size());
-    cache_.Erase(t.id);
-    return;
-  }
-  if (const ScoreCache::TopicList* halves = cache_.Find(t.id)) {
-    for (const ScoreCache::TopicHalves& half : *halves) {
-      TouchSummary(half.topic, std::abs(half.listed));
-    }
-  }
-  index_->Erase(t.id);
-  cache_.Erase(t.id);
-}
-
-void IndexMaintainer::ApplyIncremental(
-    const ActiveWindow::UpdateResult& update) {
-  if (parallel_) {
-    ApplyIncrementalParallel(update);
-    return;
-  }
-  {
-    // Expiry first; fresh-element insertion shares the stage (it is the
-    // serial path's window/membership layout work, matching the parallel
-    // apply's stage 1+2 boundary).
-    StageScope scope(telemetry_, stage_expiry_hist_, "maint.expiry");
-    for (const ActiveWindow::Touched& t : update.expired) EraseExpired(t);
-    // Inserted and resurrected elements get the one full scan of their
-    // lifetime; the window's referrer sets already reflect this bucket, so
-    // their edge spans are empty by contract.
-    for (const ActiveWindow::Touched& t : update.inserted) InsertFresh(t);
-    for (const ActiveWindow::Touched& t : update.resurrected) InsertFresh(t);
-  }
-  {
-    StageScope scope(telemetry_, stage_score_hist_, "maint.score");
-    // Each touched element applies its own carried edge spans right before
-    // it is queued — the cached influence halves stay exact in *both*
-    // refresh modes (under kPaper the lists may stay stale-high, but the
-    // cache always holds the true I_{i,t}(e), so the next reposition lands
-    // exactly where a full recompute would). Within one element the gained
-    // terms are applied before the lost terms, and elements do not
-    // interact, so the composed doubles are bitwise identical across the
-    // handle, batched and single-reposition paths.
-    for (const ActiveWindow::Touched& t : update.gained_referrer) {
-      ProcessTouched(t, /*reposition=*/true, /*te_changed=*/true);
-    }
-    // A lost referral never moves t_e (it is a running max). Under kExact
-    // the element is repositioned (topics the expired referrer did not
-    // share are elided); under kPaper only the cache absorbs the loss.
-    const bool reposition_losses = mode_ == RefreshMode::kExact;
-    for (const ActiveWindow::Touched& t : update.lost_referrer) {
-      ProcessTouched(t, reposition_losses, /*te_changed=*/false);
-    }
-  }
-  // FlushRepositions times its own gather and list-apply stages (the
-  // serial path's run gather was invisible in the stage breakdown when the
-  // whole flush was lumped under list_apply).
-  FlushRepositions();
-}
-
-void IndexMaintainer::ApplyRecompute(
-    const ActiveWindow::UpdateResult& update) {
-  // Summary movements on this baseline are best-effort (score magnitudes;
-  // 0 for erases) — the topic SETS are exact, which is all activation
-  // needs. See advance_summary.h.
-  const auto touch_all =
-      [this](const std::vector<std::pair<TopicId, double>>& scores) {
-        for (const auto& [topic, score] : scores) {
-          TouchSummary(topic, std::abs(score));
-        }
-      };
-  {
-    StageScope scope(telemetry_, stage_expiry_hist_, "maint.expiry");
-    for (const ActiveWindow::Touched& t : update.expired) {
-      for (const auto& [topic, prob] : t.element->topics.entries()) {
-        TouchSummary(topic, 0.0);
-      }
-      index_->Erase(t.id);
-    }
-  }
-  // The recompute baseline has no decomposed score stage: every insert /
-  // update below recomputes delta_i(e) inline with the list write, so the
-  // whole remainder is the list-apply stage.
-  StageScope scope(telemetry_, stage_list_apply_hist_, "maint.list_apply");
-  for (const ActiveWindow::Touched& t : update.inserted) {
-    const auto scores = ctx_->AllTopicScores(*t.element);
-    touch_all(scores);
-    index_->Insert(t.id, scores, t.te);
-  }
-  // Resurrected elements were erased from the lists when they deactivated;
-  // they re-enter with freshly computed scores.
-  for (const ActiveWindow::Touched& t : update.resurrected) {
-    const auto scores = ctx_->AllTopicScores(*t.element);
-    touch_all(scores);
-    index_->Insert(t.id, scores, t.te);
-  }
-  for (const ActiveWindow::Touched& t : update.gained_referrer) {
-    const auto scores = ctx_->AllTopicScores(*t.element);
-    touch_all(scores);
-    index_->Update(t.id, scores, t.te);
-  }
-  for (const ActiveWindow::Touched& t : update.lost_referrer) {
-    const auto scores = ctx_->AllTopicScores(*t.element);
-    // Losses move true scores in both refresh modes; only kExact writes
-    // them back into the lists.
-    touch_all(scores);
-    if (mode_ == RefreshMode::kExact) index_->Update(t.id, scores, t.te);
-  }
-}
-
-void IndexMaintainer::InsertFresh(const ActiveWindow::Touched& t) {
-  ScoreCache::TopicList& halves = cache_.Insert(*t.element);
-  if (use_handles_) *t.user_slot = &halves;  // carried to every later touch
-  scratch_scores_.clear();
-  scratch_scores_.reserve(halves.size());
-  for (const ScoreCache::TopicHalves& half : halves) {
-    scratch_scores_.emplace_back(half.topic, half.listed);
-    TouchSummary(half.topic, std::abs(half.listed));
-  }
-  if (use_handles_) {
-    handle_scratch_.resize(halves.size());
-    index_->Insert(t.id, scratch_scores_, t.te, handle_scratch_.data());
-    for (std::size_t i = 0; i < halves.size(); ++i) {
-      halves[i].handle = handle_scratch_[i];
-    }
-  } else {
-    index_->Insert(t.id, scratch_scores_, t.te);
-  }
-}
-
-void IndexMaintainer::ProcessTouched(const ActiveWindow::Touched& t,
-                                     bool reposition, bool te_changed) {
-  // Everything this element's bucket work needs — edge topic vectors, t_e,
-  // and (through the carried user slot) the cache entry with its listed
-  // scores and list positions — arrived in the Touched record; the
-  // id-keyed reference path re-derives the entry by hashing instead.
-  ScoreCache::TopicList& halves =
-      use_handles_ ? *ScoreCache::FromSlot(*t.user_slot)
-                   : cache_.MutableHalves(t.id);
-  KSIR_DCHECK(&halves == &cache_.MutableHalves(t.id));
-  if (t.num_gained + t.num_lost > 0) FoldEdges(t, &halves, &edge_acc_);
-  if (!reposition) {
-    // kPaper referrer loss: the lists keep the stale-high tuples, but the
-    // true scores moved wherever the lost referrers' supports overlapped
-    // this element's — surface those topics so indexed subscription
-    // activation stays exact against the naive baseline.
-    if (t.num_gained + t.num_lost > 0) TouchElidedLoss(halves, edge_acc_);
-    return;
-  }
-  const double lambda = ctx_->params().lambda;
-  const double influence_factor = ctx_->influence_factor();
-  if (batch_min_ == 0) {
-    // Single-reposition reference path (the PR 2 baseline).
-    scratch_scores_.clear();
-    scratch_scores_.reserve(halves.size());
-    for (ScoreCache::TopicHalves& half : halves) {
-      const double score =
-          lambda * half.semantic + influence_factor * half.influence;
-      if (score != half.listed) {
-        TouchSummary(half.topic, std::abs(score - half.listed));
-      }
-      half.listed = score;
-      scratch_scores_.emplace_back(half.topic, score);
-    }
-    index_->UpdateTrusted(t.id, scratch_scores_, t.te);
-    bucket_repositions_ += halves.size();  // this path never elides
-    return;
-  }
-  // t_e is per element, written once; the per-topic runs carry only score
-  // changes, so a gained referrer sharing none of a topic's support leaves
-  // that topic's list untouched.
-  if (te_changed) index_->TouchTime(t.id, t.te);
-  for (ScoreCache::TopicHalves& half : halves) {
-    const double score =
-        lambda * half.semantic + influence_factor * half.influence;
-    if (use_handles_) {
-      // Handle path: queue only tuples whose KEY moves.
-      if (score == half.listed) {
-        ++bucket_elisions_;
-        continue;
-      }
-      pending_handles_.push_back(
-          {half.topic, RankedList::HandleUpdate{t.id, half.listed, score,
-                                                &half.handle}});
-      TouchSummary(half.topic, std::abs(score - half.listed));
-    } else {
-      // Id-keyed batched baseline (PR 3 tuple volume): a gained referral
-      // queues every topic — the per-tuple id resolution then discovers
-      // the unchanged keys, exactly as the PR 3 ApplyBatch did.
-      if (!te_changed && score == half.listed) {
-        ++bucket_elisions_;
-        continue;
-      }
-      if (score != half.listed) {
-        TouchSummary(half.topic, std::abs(score - half.listed));
-      }
-      pending_tuples_.push_back(
-          {half.topic, RankedList::Tuple{t.id, score}});
-    }
-    ++bucket_repositions_;
-    half.listed = score;
-    const auto topic = static_cast<std::size_t>(half.topic);
-    if (topic_counts_[topic]++ == 0) touched_.push_back(half.topic);
-  }
 }
 
 void IndexMaintainer::FoldEdges(const ActiveWindow::Touched& t,
@@ -403,62 +166,15 @@ void IndexMaintainer::FoldEdges(const ActiveWindow::Touched& t,
   }
 }
 
-template <typename PendingT, typename ApplyFn>
-void IndexMaintainer::FlushRuns(std::vector<PendingT>* pending,
-                                ApplyFn apply) {
-  // Scatter the queued (topic, payload) pairs into contiguous per-topic
-  // runs. Processing list by list (instead of element by element across
-  // all of its lists) keeps each chunk directory hot, and lists with
-  // enough pending work take the one-pass merge sweep. Topic order is
-  // sorted only for determinism of the arena layout; the runs are
-  // independent.
-  using Payload = decltype(PendingT::payload);
-  Payload* runs = nullptr;
-  std::uint32_t* offsets = nullptr;
-  {
-    // Stage accounting mirrors the parallel apply: the sort + run scatter
-    // is the gather stage, the per-list sweeps below are list_apply. Both
-    // record on every bucket (including empty ones) so the serial and
-    // parallel stage breakdowns stay comparable.
-    StageScope scope(telemetry_, stage_gather_hist_, "maint.gather");
-    run_arena_.Reset();
-    runs = run_arena_.AllocateArray<Payload>(pending->size());
-    std::sort(touched_.begin(), touched_.end());
-    // offsets[t] = start of topic t's run; reuses topic_counts_ as cursor.
-    offsets = run_arena_.AllocateArray<std::uint32_t>(touched_.size());
-    std::uint32_t offset = 0;
-    for (std::size_t i = 0; i < touched_.size(); ++i) {
-      offsets[i] = offset;
-      const auto t = static_cast<std::size_t>(touched_[i]);
-      const std::uint32_t count = topic_counts_[t];
-      // Repurpose topic_counts_ as the scatter cursor (start index).
-      topic_counts_[t] = offset;
-      offset += count;
-    }
-    for (const PendingT& item : *pending) {
-      runs[topic_counts_[static_cast<std::size_t>(item.topic)]++] =
-          item.payload;
-    }
-  }
-  StageScope scope(telemetry_, stage_list_apply_hist_, "maint.list_apply");
-  for (std::size_t i = 0; i < touched_.size(); ++i) {
-    const TopicId topic = touched_[i];
-    const std::uint32_t begin = offsets[i];
-    const std::uint32_t end = topic_counts_[static_cast<std::size_t>(topic)];
-    const std::size_t count = end - begin;
-    apply(topic, runs + begin, count, /*merge=*/count >= batch_min_);
-    topic_counts_[static_cast<std::size_t>(topic)] = 0;
-  }
-  touched_.clear();
-  pending->clear();
-}
-
-void IndexMaintainer::ProcessTouchedParallel(TouchedItem* item,
-                                             StampedAccumulator* acc) {
-  // The element stage's kernel: identical arithmetic, in identical
-  // per-element operand order, to the serial ProcessTouched — the changed
-  // tuples just land in the item's private buffer instead of the shared
-  // queue (the gather re-serializes them in queue order).
+void IndexMaintainer::ProcessTouched(TouchedItem* item,
+                                     StampedAccumulator* acc) {
+  // The element stage's kernel. The element's carried edge spans are
+  // applied to the cached influence halves right before its scores are
+  // composed — the halves stay exact in *both* refresh modes (under kPaper
+  // the lists may stay stale-high, but the cache always holds the true
+  // I_{i,t}(e), so the next reposition lands exactly where a full
+  // recompute would). The changed keys land in the item's private buffer;
+  // the gather serializes them in element order.
   const ActiveWindow::Touched& t = *item->touched;
   ScoreCache::TopicList& halves = *item->halves;
   if (t.num_gained + t.num_lost > 0) FoldEdges(t, &halves, acc);
@@ -501,7 +217,7 @@ void IndexMaintainer::ProcessTouchedParallel(TouchedItem* item,
   item->num_updates = n;
 }
 
-void IndexMaintainer::ApplyIncrementalParallel(
+void IndexMaintainer::ApplyIncremental(
     const ActiveWindow::UpdateResult& update) {
   PendingInsert* insert_runs = nullptr;
   RankedList::HandleUpdate* update_runs = nullptr;
@@ -515,7 +231,7 @@ void IndexMaintainer::ApplyIncrementalParallel(
     // cache entry (cache_.Erase frees the pool row the halves live in).
     // The per-list erases then fan out, each touched topic owned by one
     // shard; a shard replays its lists' erases in element order, so every
-    // list sees exactly the serial erase sequence.
+    // list sees the same erase sequence whatever P is.
     erase_items_.clear();
     erase_topics_.clear();
     for (const ActiveWindow::Touched& t : update.expired) {
@@ -588,7 +304,7 @@ void IndexMaintainer::ApplyIncrementalParallel(
     const auto add_touched = [this](const ActiveWindow::Touched& t,
                                     bool reposition, bool te_changed) {
       ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
-      KSIR_DCHECK(halves == &cache_.MutableHalves(t.id));
+      KSIR_DCHECK(halves == cache_.Find(t.id));
       TouchedItem item;
       item.touched = &t;
       item.halves = halves;
@@ -629,7 +345,7 @@ void IndexMaintainer::ApplyIncrementalParallel(
             cache_.ComputeHalves(*fresh_items_[i].element,
                                  fresh_items_[i].halves, &acc);
           } else {
-            ProcessTouchedParallel(&touched_items_[i - num_fresh], &acc);
+            ProcessTouched(&touched_items_[i - num_fresh], &acc);
           }
         }
       });
@@ -639,17 +355,16 @@ void IndexMaintainer::ApplyIncrementalParallel(
   {
     StageScope scope(telemetry_, stage_gather_hist_, "maint.gather");
     // Stage 4 (serial): deterministic gather. t_e lands first (one
-    // membership write per gained element, as in the serial path), then
-    // the per-element outputs are scattered into per-topic runs in EXACTLY
-    // the serial queue order — fresh inserts in element order, repositions
-    // in (element, support) order — so every list sees the identical
-    // operation sequence the serial path would have produced.
+    // membership write per gained element), then the per-element outputs
+    // are counted into per-topic runs in element order — fresh inserts,
+    // then repositions in (element, support) order — so every list sees
+    // the same operation sequence whatever P is.
     std::size_t total_inserts = 0;
     std::size_t total_updates = 0;
     for (const FreshItem& item : fresh_items_) {
       for (const ScoreCache::TopicHalves& half : *item.halves) {
         const auto topic = static_cast<std::size_t>(half.topic);
-        if (insert_counts_[topic]++ == 0 && topic_counts_[topic] == 0) {
+        if (insert_counts_[topic]++ == 0 && update_counts_[topic] == 0) {
           touched_.push_back(half.topic);
         }
         TouchSummary(half.topic, std::abs(half.listed));
@@ -668,13 +383,12 @@ void IndexMaintainer::ApplyIncrementalParallel(
       if (item.te_changed) {
         index_->TouchTime(item.touched->id, item.touched->te);
       }
-      // Mirror the serial ProcessTouched accounting: num_updates tuples
-      // moved, the rest of the support was elided.
+      // num_updates keys moved; the rest of the support was elided.
       bucket_repositions_ += item.num_updates;
       bucket_elisions_ += item.halves->size() - item.num_updates;
       for (std::uint32_t i = 0; i < item.num_updates; ++i) {
         const auto topic = static_cast<std::size_t>(item.updates[i].topic);
-        if (topic_counts_[topic]++ == 0 && insert_counts_[topic] == 0) {
+        if (update_counts_[topic]++ == 0 && insert_counts_[topic] == 0) {
           touched_.push_back(item.updates[i].topic);
         }
         TouchSummary(item.updates[i].topic,
@@ -683,74 +397,79 @@ void IndexMaintainer::ApplyIncrementalParallel(
         ++total_updates;
       }
     }
-    if (touched_.empty()) return;
-    std::sort(touched_.begin(), touched_.end());
-    insert_runs = run_arena_.AllocateArray<PendingInsert>(total_inserts);
-    update_runs =
-        run_arena_.AllocateArray<RankedList::HandleUpdate>(total_updates);
-    insert_off =
-        run_arena_.AllocateArray<std::uint32_t>(touched_.size() + 1);
-    update_off =
-        run_arena_.AllocateArray<std::uint32_t>(touched_.size() + 1);
-    std::uint32_t ins = 0;
-    std::uint32_t upd = 0;
-    for (std::size_t i = 0; i < touched_.size(); ++i) {
-      const auto t = static_cast<std::size_t>(touched_[i]);
-      insert_off[i] = ins;
-      update_off[i] = upd;
-      const std::uint32_t insert_count = insert_counts_[t];
-      const std::uint32_t update_count = topic_counts_[t];
-      insert_counts_[t] = ins;  // repurposed as the scatter cursors
-      topic_counts_[t] = upd;
-      ins += insert_count;
-      upd += update_count;
-    }
-    insert_off[touched_.size()] = ins;
-    update_off[touched_.size()] = upd;
-    // Stage 4b (parallel, topic-sharded): the scatter itself. Each shard
-    // owns a disjoint topic subset — the same i % shards residue stage 5
-    // prefers through ParallelRunAffine, so the worker that writes a
-    // topic's runs is the one that applies them next. A shard scans the
-    // element-ordered item lists and advances only its topics' cursors, so
-    // the runs land byte-identically to a serial scatter.
-    const std::size_t shards = std::min(workers_, touched_.size());
-    for (std::size_t i = 0; i < touched_.size(); ++i) {
-      topic_shard_[static_cast<std::size_t>(touched_[i])] =
-          static_cast<std::uint32_t>(i % shards);
-    }
-    ParallelRunAffine(
-        pool_, shards, shards, [&](std::size_t, std::size_t shard) {
-          for (const FreshItem& item : fresh_items_) {
-            const ElementId id = item.element->id;
-            for (ScoreCache::TopicHalves& half : *item.halves) {
-              const auto topic = static_cast<std::size_t>(half.topic);
-              if (topic_shard_[topic] != shard) continue;
-              insert_runs[insert_counts_[topic]++] =
-                  PendingInsert{id, half.listed, &half.handle};
+    if (!touched_.empty()) {
+      std::sort(touched_.begin(), touched_.end());
+      insert_runs = run_arena_.AllocateArray<PendingInsert>(total_inserts);
+      update_runs =
+          run_arena_.AllocateArray<RankedList::HandleUpdate>(total_updates);
+      insert_off =
+          run_arena_.AllocateArray<std::uint32_t>(touched_.size() + 1);
+      update_off =
+          run_arena_.AllocateArray<std::uint32_t>(touched_.size() + 1);
+      std::uint32_t ins = 0;
+      std::uint32_t upd = 0;
+      for (std::size_t i = 0; i < touched_.size(); ++i) {
+        const auto t = static_cast<std::size_t>(touched_[i]);
+        insert_off[i] = ins;
+        update_off[i] = upd;
+        const std::uint32_t insert_count = insert_counts_[t];
+        const std::uint32_t update_count = update_counts_[t];
+        insert_counts_[t] = ins;  // repurposed as the scatter cursors
+        update_counts_[t] = upd;
+        ins += insert_count;
+        upd += update_count;
+      }
+      insert_off[touched_.size()] = ins;
+      update_off[touched_.size()] = upd;
+      // Stage 4b (topic-sharded): the scatter itself. Each shard owns a
+      // disjoint topic subset — the same i % shards residue stage 5
+      // prefers through ParallelRunAffine, so the participant that writes
+      // a topic's runs is the one that applies them next. A shard scans
+      // the element-ordered item lists and advances only its topics'
+      // cursors, so the runs land in element order for any shard count.
+      const std::size_t shards = std::min(workers_, touched_.size());
+      for (std::size_t i = 0; i < touched_.size(); ++i) {
+        topic_shard_[static_cast<std::size_t>(touched_[i])] =
+            static_cast<std::uint32_t>(i % shards);
+      }
+      ParallelRunAffine(
+          pool_, shards, shards, [&](std::size_t, std::size_t shard) {
+            for (const FreshItem& item : fresh_items_) {
+              const ElementId id = item.element->id;
+              for (ScoreCache::TopicHalves& half : *item.halves) {
+                const auto topic = static_cast<std::size_t>(half.topic);
+                if (topic_shard_[topic] != shard) continue;
+                insert_runs[insert_counts_[topic]++] =
+                    PendingInsert{id, half.listed, &half.handle};
+              }
             }
-          }
-          for (const TouchedItem& item : touched_items_) {
-            if (!item.reposition) continue;  // summary-only, folded above
-            for (std::uint32_t i = 0; i < item.num_updates; ++i) {
-              const auto topic =
-                  static_cast<std::size_t>(item.updates[i].topic);
-              if (topic_shard_[topic] != shard) continue;
-              update_runs[topic_counts_[topic]++] = item.updates[i].payload;
+            for (const TouchedItem& item : touched_items_) {
+              if (!item.reposition) continue;  // summary-only, folded above
+              for (std::uint32_t i = 0; i < item.num_updates; ++i) {
+                const auto topic =
+                    static_cast<std::size_t>(item.updates[i].topic);
+                if (topic_shard_[topic] != shard) continue;
+                update_runs[update_counts_[topic]++] =
+                    item.updates[i].payload;
+              }
             }
-          }
-        });
+          });
+    }
   }
 
+  // The list-apply stage is recorded on every bucket, including buckets
+  // with no list work, so each stage histogram counts one sample per
+  // bucket.
   StageScope list_scope(telemetry_, stage_list_apply_hist_,
                         "maint.list_apply");
-  // Stage 5 (parallel, topic-sharded): apply each touched topic's fresh
-  // inserts, then its reposition run. A topic is executed by exactly one
+  // Stage 5 (topic-sharded): apply each touched topic's fresh inserts,
+  // then its reposition run. A topic is executed by exactly one
   // participant and no list state is shared across topics, so there is no
   // list-level locking; handle minting and the ScoreCache handle
-  // write-backs land identically to the serial order because each list
-  // executes its serial operation sequence. ParallelRunAffine gives unit i
-  // the i % P residue that scattered its runs in stage 4b — warm caches —
-  // while the steal sweep keeps the stage work-conserving; per-participant
+  // write-backs land identically for any P because each list executes the
+  // same operation sequence. ParallelRunAffine gives unit i the i % P
+  // residue that scattered its runs in stage 4b — warm caches — while the
+  // steal sweep keeps the stage work-conserving; per-participant
   // BatchScratch keeps the merge sweeps allocation- and contention-free.
   ParallelRunAffine(
       pool_, workers_, touched_.size(), [&](std::size_t p, std::size_t i) {
@@ -764,35 +483,87 @@ void IndexMaintainer::ApplyIncrementalParallel(
         const std::uint32_t n = update_off[i + 1] - begin;
         if (n > 0) {
           index_->BatchRepositionHandles(topic, update_runs + begin, n,
-                                         /*merge=*/n >= batch_min_, &scratch);
+                                         /*merge=*/n >= kMergeRunMin,
+                                         &scratch);
         }
       });
 
   // Restore the lazily-zeroed counters for the next bucket.
   for (const TopicId topic : touched_) {
     insert_counts_[static_cast<std::size_t>(topic)] = 0;
-    topic_counts_[static_cast<std::size_t>(topic)] = 0;
+    update_counts_[static_cast<std::size_t>(topic)] = 0;
   }
   touched_.clear();
 }
 
-void IndexMaintainer::FlushRepositions() {
-  // No early-out on empty queues: FlushRuns degenerates to two cheap
-  // stage-scope records, keeping the per-bucket histogram counts exact.
-  if (use_handles_) {
-    FlushRuns(&pending_handles_,
-              [this](TopicId topic, const RankedList::HandleUpdate* runs,
-                     std::size_t n, bool merge) {
-                index_->BatchRepositionHandles(topic, runs, n, merge,
-                                               &batch_scratch_);
-              });
-  } else {
-    FlushRuns(&pending_tuples_,
-              [this](TopicId topic, const RankedList::Tuple* runs,
-                     std::size_t n, bool merge) {
-                index_->BatchReposition(topic, runs, n, merge,
-                                        &batch_scratch_);
-              });
+void IndexMaintainer::ApplyRecompute(
+    const ActiveWindow::UpdateResult& update) {
+  // The oracle rescores from scratch (AllTopicScores) and keeps only what
+  // the list writes need in its own cache rows: the listed score (the old
+  // key of the next write) and the position handle. Summary movements on
+  // this path are best-effort (score magnitudes; 0 for erases) — the topic
+  // SETS are exact, which is all activation needs. See advance_summary.h.
+  {
+    StageScope scope(telemetry_, stage_expiry_hist_, "maint.expiry");
+    for (const ActiveWindow::Touched& t : update.expired) {
+      const ScoreCache::TopicList* rows = ScoreCache::FromSlot(*t.user_slot);
+      KSIR_CHECK(rows != nullptr);
+      KSIR_DCHECK(rows == cache_.Find(t.id));
+      SmallVector<RankedList::ErasureHint, 8> hints;
+      for (const ScoreCache::TopicHalves& row : *rows) {
+        TouchSummary(row.topic, 0.0);
+        hints.push_back(
+            RankedList::ErasureHint{row.topic, row.listed, row.handle});
+      }
+      index_->EraseWithHints(t.id, hints.data(), hints.size());
+      cache_.Erase(t.id);
+    }
+  }
+  // No decomposed score stage: every insert / reposition below recomputes
+  // delta_i(e) inline with its list write, so the whole remainder is the
+  // list-apply stage.
+  StageScope scope(telemetry_, stage_list_apply_hist_, "maint.list_apply");
+  // Inserted and resurrected elements (erased from the lists when they
+  // deactivated) enter with freshly computed scores.
+  for (const std::vector<ActiveWindow::Touched>* fresh :
+       {&update.inserted, &update.resurrected}) {
+    for (const ActiveWindow::Touched& t : *fresh) {
+      const auto scores = ctx_->AllTopicScores(*t.element);
+      ScoreCache::TopicList& rows = cache_.AllocateEntry(*t.element);
+      *t.user_slot = &rows;
+      std::vector<RankedList::Handle> handles(scores.size());
+      index_->Insert(t.id, scores, t.te, handles.data());
+      for (std::size_t i = 0; i < scores.size(); ++i) {
+        KSIR_DCHECK(rows[i].topic == scores[i].first);
+        rows[i].listed = scores[i].second;
+        rows[i].handle = handles[i];
+        TouchSummary(scores[i].first, std::abs(scores[i].second));
+      }
+    }
+  }
+  const auto reposition = [this](const ActiveWindow::Touched& t,
+                                 bool write) {
+    const auto scores = ctx_->AllTopicScores(*t.element);
+    ScoreCache::TopicList& rows = *ScoreCache::FromSlot(*t.user_slot);
+    KSIR_DCHECK(&rows == cache_.Find(t.id));
+    index_->TouchTime(t.id, t.te);
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      TouchSummary(scores[i].first, std::abs(scores[i].second));
+      if (!write) continue;
+      index_->UpdateHandle(
+          scores[i].first,
+          RankedList::HandleUpdate{t.id, rows[i].listed, scores[i].second,
+                                   &rows[i].handle});
+      rows[i].listed = scores[i].second;
+    }
+  };
+  for (const ActiveWindow::Touched& t : update.gained_referrer) {
+    reposition(t, /*write=*/true);
+  }
+  // Losses move true scores in both refresh modes; only kExact writes them
+  // back into the lists. t_e is a running max, so a loss never moves it.
+  for (const ActiveWindow::Touched& t : update.lost_referrer) {
+    reposition(t, /*write=*/mode_ == RefreshMode::kExact);
   }
 }
 

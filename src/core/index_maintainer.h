@@ -37,85 +37,75 @@ enum class RefreshMode {
 enum class ScoreMaintenance {
   /// ScoreCache decomposition: the semantic half is computed once per
   /// element lifetime and the influence half updated per edge, making a
-  /// reposition O(|shared topics|). Default.
+  /// reposition O(|shared topics|). Runs the staged pipeline. Default.
   kIncremental,
-  /// Recompute delta_i(e) from scratch (full word scan per topic plus a
-  /// referrer-set scan) on every reposition. The pre-decomposition
-  /// behavior; kept as the reference baseline for equivalence tests and the
-  /// hot-path benchmark.
+  /// The recompute oracle: delta_i(e) from scratch (full word scan per
+  /// topic plus a referrer-set scan) on every insert and reposition. Kept
+  /// as the reference the pipeline is checked against in the equivalence
+  /// tests and the hot-path benchmark.
   kRecompute,
 };
 
-/// Default IndexMaintainer batching threshold: lists with at least this
-/// many pending repositions in a bucket are updated by one ApplyBatch merge
-/// sweep; sparser lists keep the single-reposition fast path. Chosen from
-/// the hotpath bench's batch-size sweep (see BENCH_hotpath.json).
-inline constexpr std::size_t kDefaultRepositionBatchMin = 2;
-
 /// Applies window updates to the ranked lists (Algorithm 1 lines 4-13).
 ///
-/// Under kIncremental maintenance the repositions of a bucket are batched:
-/// the per-topic pending runs are built entirely from state already carried
-/// by the pipeline — the window report's Touched records (element pointer,
-/// final t_e, gained/lost referrer topic spans) and the ScoreCache entry
-/// (score halves, listed score, ranked-list handle). With handle carrying
-/// on (the default) a bucket's reposition work performs ONE cache probe per
-/// touched element and zero ranked-list id-table probes on the no-split
-/// fast path; `carry_handles = false` preserves the id-keyed batched
-/// baseline for equivalence testing and benchmarking. All batching state is
-/// owned by this maintainer — one engine's maintainer never shares mutable
-/// state with another's, which is what lets the sharded service advance
-/// shards in parallel.
-///
-/// With a runtime WorkerPool and `parallel_workers >= 2` the handle
-/// pipeline's bucket apply runs STAGED (see ApplyIncrementalParallel),
-/// and every stage that touches list memory fans out:
+/// Under kIncremental maintenance every bucket runs ONE staged pipeline
+/// with P participants (P = max(1, `parallel_workers`); the advancing
+/// thread is participant 0 and the pool supplies the rest, and at P = 1
+/// every stage runs inline). Its inputs are state already carried by the
+/// pipeline — the window report's Touched records (element pointer, final
+/// t_e, gained/lost referrer topic spans) and the ScoreCache entry (score
+/// halves, listed score, ranked-list handle), reached through the window's
+/// user slot — so a bucket performs no id-keyed list lookups at all:
 ///   1. expiry — a serial prologue walks the expired elements (summary
 ///      touches, membership + cache erases: hash maps and pools are
 ///      single-threaded state) copying each carried per-topic hint out of
 ///      the dying cache entry, then the per-list erases run TOPIC-SHARDED
-///      (each touched topic is owned by one worker, which replays that
-///      list's erases in element order);
+///      (each touched topic is owned by one participant, which replays
+///      that list's erases in element order);
 ///   2. layout (serial) — cache entry rows, membership records and arena
 ///      buffers for the bucket's touched elements;
-///   3. scoring (parallel, element-sharded) — fresh-element scoring, edge
-///      folding, score composition; each participant folds through its own
-///      dense accumulator;
+///   3. scoring (element-sharded) — fresh-element scoring, edge folding,
+///      score composition; each participant folds through its own dense
+///      accumulator;
 ///   4. gather — a serial counting pass fixes the per-topic run layout,
 ///      summary touches and t_e writes, then the scatter into per-topic
-///      runs is TOPIC-SHARDED: each worker owns a disjoint topic subset
-///      and writes exactly its topics' runs, in element order, so the
-///      concatenated runs equal the serial queue order by construction;
-///   5. list apply (parallel, topic-sharded) — each touched topic's
-///      RankedList (fresh inserts then the reposition run) is claimed by
-///      exactly one worker, so no list-level locking; per-worker
+///      runs is TOPIC-SHARDED: each participant owns a disjoint topic
+///      subset and writes exactly its topics' runs, in element order;
+///   5. list apply (topic-sharded) — each touched topic's RankedList
+///      (fresh inserts then the reposition run) is claimed by exactly one
+///      participant, so no list-level locking; per-participant
 ///      BatchScratch keeps the merge sweeps allocation-free.
-/// The topic-keyed stages run through ParallelRunAffine, so the same
-/// topic shard lands on the same pool worker bucket after bucket (cache
-/// affinity; see runtime/worker_pool.h). Because every list sees the
-/// identical operation sequence the serial path would produce, the
-/// resulting lists, handles and ScoreCache state are BITWISE identical to
-/// the serial handle path.
+/// The topic-keyed stages run through ParallelRunAffine, so the same topic
+/// shard lands on the same pool worker bucket after bucket (cache
+/// affinity; see runtime/worker_pool.h). Every list sees the same
+/// operation sequence whatever P is, so the resulting lists, handles and
+/// ScoreCache state are BITWISE identical across participant counts.
+///
+/// kRecompute runs ApplyRecompute instead: the oracle. It rescores every
+/// inserted or repositioned element from scratch and writes the lists
+/// through the same per-element handle entry points, parking its listed
+/// scores and handles in its own ScoreCache rows (the score halves stay
+/// unused).
+///
+/// All maintenance state is owned by this maintainer — one engine's
+/// maintainer never shares mutable state with another's, which is what
+/// lets the sharded service advance shards in parallel.
 class IndexMaintainer {
  public:
   /// `ctx` and `index` must outlive the maintainer; `ctx`'s window must be
-  /// the window whose updates are applied. `reposition_batch_min` is the
-  /// per-list batching threshold; 0 disables batching entirely (the
-  /// single-reposition reference path, which also disables handle
-  /// carrying). `pool` + `parallel_workers >= 2` enable the staged
-  /// parallel apply (handle pipeline only; `pool` must outlive the
+  /// the window whose updates are applied. `pool` + `parallel_workers >= 2`
+  /// give the pipeline that many participants (`pool` must outlive the
   /// maintainer and may be shared — the stages fan out through
-  /// ParallelRun, whose caller participation tolerates a busy pool).
-  /// `telemetry` (optional, must outlive the maintainer) receives the
-  /// per-stage bucket-apply histograms (`ksir_maintainer_stage_*_seconds`)
-  /// and touched/reposition/elision counters; null gives the maintainer a
-  /// private kOff Telemetry so counters keep working in isolation.
+  /// ParallelRun, whose caller participation tolerates a busy pool);
+  /// without a pool the pipeline runs at P = 1. `telemetry` (optional,
+  /// must outlive the maintainer) receives the per-stage bucket-apply
+  /// histograms (`ksir_maintainer_stage_*_seconds`) and touched/reposition/
+  /// elision counters; null gives the maintainer a private kOff Telemetry
+  /// so counters keep working in isolation.
   IndexMaintainer(const ScoringContext* ctx, RankedListIndex* index,
                   RefreshMode mode = RefreshMode::kExact,
                   ScoreMaintenance maintenance = ScoreMaintenance::kIncremental,
-                  std::size_t reposition_batch_min = kDefaultRepositionBatchMin,
-                  bool carry_handles = true, WorkerPool* pool = nullptr,
-                  std::size_t parallel_workers = 0,
+                  WorkerPool* pool = nullptr, std::size_t parallel_workers = 0,
                   Telemetry* telemetry = nullptr);
 
   /// Applies one Advance() result. Must be called after every window
@@ -124,13 +114,6 @@ class IndexMaintainer {
 
   RefreshMode mode() const { return mode_; }
   ScoreMaintenance maintenance() const { return maintenance_; }
-  std::size_t reposition_batch_min() const { return batch_min_; }
-  bool carries_handles() const { return use_handles_; }
-  /// True when buckets run the staged parallel apply.
-  bool parallel() const { return parallel_; }
-
-  /// The cache backing kIncremental maintenance (exposed for tests).
-  const ScoreCache& score_cache() const { return cache_; }
 
   /// Touched-topic summary of the most recent Apply() (epoch unset; the
   /// engine stamps it). Valid until the next Apply.
@@ -138,37 +121,10 @@ class IndexMaintainer {
 
  private:
   void ApplyIncremental(const ActiveWindow::UpdateResult& update);
-  void ApplyIncrementalParallel(const ActiveWindow::UpdateResult& update);
   void ApplyRecompute(const ActiveWindow::UpdateResult& update);
 
-  /// Erases one expired element from the lists and the cache (the serial
-  /// apply path; the parallel apply shards the list erases by topic — see
-  /// ApplyIncrementalParallel stage 1).
-  void EraseExpired(const ActiveWindow::Touched& t);
-
-  /// Inserts a fresh / resurrected element into the cache and the lists,
-  /// seeding the cache entry's handles when handle carrying is on.
-  void InsertFresh(const ActiveWindow::Touched& t);
-
-  /// One touched element of a bucket: applies its carried edge spans to the
-  /// cached influence halves, then (when `reposition` is set) repositions
-  /// it — queueing per-topic pending runs, or updating the lists directly
-  /// on the single-reposition reference path. When `te_changed` is false
-  /// (referrer loss — t_e is a running max), tuples whose composed score
-  /// equals the listed score are elided.
-  void ProcessTouched(const ActiveWindow::Touched& t, bool reposition,
-                      bool te_changed);
-
-  /// Scatters the queued repositions into arena-backed per-topic runs and
-  /// applies each touched list's run in one BatchReposition call.
-  void FlushRepositions();
-
-  template <typename PendingT, typename ApplyFn>
-  void FlushRuns(std::vector<PendingT>* pending, ApplyFn apply);
-
   /// Scatters one element's carried edge spans into `acc` and folds them
-  /// into the cached influence halves (the shared edge-folding kernel of
-  /// the serial and parallel applies).
+  /// into the cached influence halves.
   static void FoldEdges(const ActiveWindow::Touched& t,
                         ScoreCache::TopicList* halves,
                         StampedAccumulator* acc);
@@ -176,14 +132,6 @@ class IndexMaintainer {
   /// Records one score movement on `topic` into the bucket's summary
   /// accumulator (dense max, lazily cleared at materialization).
   void TouchSummary(TopicId topic, double movement);
-
-  /// Records the kPaper-elided score movements of one referrer-loss
-  /// element: the lists stay stale-high, but the true delta_i(e) moved on
-  /// every support topic the lost referrers overlapped, and subscriptions
-  /// keyed on those topics must see the touch. Reads the fold residue
-  /// still stamped in `acc` right after FoldEdges(t, halves, acc).
-  void TouchElidedLoss(const ScoreCache::TopicList& halves,
-                       const StampedAccumulator& acc);
 
   /// Sorts and publishes the bucket's summary accumulator into summary_,
   /// restoring the dense arrays for the next bucket.
@@ -193,20 +141,17 @@ class IndexMaintainer {
   RankedListIndex* index_;
   RefreshMode mode_;
   ScoreMaintenance maintenance_;
-  std::size_t batch_min_;
-  bool use_handles_;
-  /// Staged parallel apply: pool + participant count (the advancing thread
-  /// is participant 0; the pool supplies helpers).
+  /// Pipeline participants P (the advancing thread is participant 0; the
+  /// pool supplies helpers when P >= 2).
   WorkerPool* pool_ = nullptr;
   std::size_t workers_ = 1;
-  bool parallel_ = false;
   /// Fallback Telemetry (kOff) owned when no shared one was passed, so the
   /// metric pointers below are always valid and the hot path never
   /// null-checks them.
   std::unique_ptr<Telemetry> owned_telemetry_;
   Telemetry* telemetry_;
-  /// Stage histograms (recorded only when timing is enabled; see
-  /// telemetry.h for the stage -> code mapping in each apply flavor).
+  /// Stage histograms (recorded only when timing is enabled; every stage
+  /// records once per bucket).
   Histogram* stage_expiry_hist_;
   Histogram* stage_score_hist_;
   Histogram* stage_gather_hist_;
@@ -228,37 +173,18 @@ class IndexMaintainer {
   std::vector<double> summary_movement_;
   std::vector<std::uint8_t> summary_seen_;
   std::vector<TopicId> summary_topics_;
+  /// Per-element cache rows. Under kRecompute only `listed` and `handle`
+  /// are maintained.
   ScoreCache cache_;
-  /// Reused (topic, score) buffer; repositions are too frequent to allocate.
-  std::vector<std::pair<TopicId, double>> scratch_scores_;
-  std::vector<RankedList::Handle> handle_scratch_;
-  SmallVector<RankedList::ErasureHint, 8> hint_scratch_;
 
-  /// ---- per-bucket batching state (live only within one Apply call) ----
-  /// One pending ranked-list reposition per (topic, element), in queue
-  /// order; the handle flavor points back into the ScoreCache entry so the
-  /// list writes the refreshed position hint straight through.
+  /// ---- per-bucket pipeline state (live only within one Apply call) ----
+  /// One changed ranked-list key of a touched element; points back into
+  /// the ScoreCache entry so the list writes the refreshed position hint
+  /// straight through.
   struct PendingHandle {
     TopicId topic;
     RankedList::HandleUpdate payload;
   };
-  struct PendingTuple {
-    TopicId topic;
-    RankedList::Tuple payload;
-  };
-  std::vector<PendingHandle> pending_handles_;
-  std::vector<PendingTuple> pending_tuples_;
-  /// Pending tuples per topic this bucket; zeroed lazily via `touched_`.
-  std::vector<std::uint32_t> topic_counts_;
-  std::vector<TopicId> touched_;
-  /// Dense per-topic edge accumulator (stamp-cleared per element): one
-  /// scatter per edge entry, one gather over the element's support.
-  StampedAccumulator edge_acc_;
-  /// Backs the scattered per-topic runs; reset every flush.
-  Arena run_arena_;
-  RankedList::BatchScratch batch_scratch_;
-
-  /// ---- staged parallel apply state (parallel_ engines only) ----
   /// One fresh (inserted / resurrected) element of the bucket: entry rows
   /// laid out serially, score halves computed by the element stage.
   struct FreshItem {
@@ -294,7 +220,7 @@ class IndexMaintainer {
     double score;
     RankedList::Handle handle;
   };
-  void ProcessTouchedParallel(TouchedItem* item, StampedAccumulator* acc);
+  void ProcessTouched(TouchedItem* item, StampedAccumulator* acc);
 
   std::vector<PendingErase> erase_items_;
   /// Distinct topics with erases this bucket (deduped through erase_seen_,
@@ -308,9 +234,13 @@ class IndexMaintainer {
   std::vector<FreshItem> fresh_items_;
   std::vector<TouchedItem> touched_items_;
   std::vector<TopicId> topic_id_scratch_;
-  /// Pending fresh list inserts per topic (the reposition counts reuse
-  /// topic_counts_); zeroed lazily via touched_.
+  /// Pending fresh list inserts and repositions per topic this bucket;
+  /// zeroed lazily via touched_ (the topics with either).
   std::vector<std::uint32_t> insert_counts_;
+  std::vector<std::uint32_t> update_counts_;
+  std::vector<TopicId> touched_;
+  /// Backs the per-element buffers and per-topic runs; reset every bucket.
+  Arena run_arena_;
   /// Per-worker scratch: dense accumulators for the element stage, batch
   /// scratch for the topic stage — indexed by ParallelRun participant, so
   /// the stages allocate nothing and contend on nothing.

@@ -53,58 +53,36 @@ RankedList::Chunk* RankedList::ResolveHandle(Handle h) const {
   return chunk;
 }
 
-RankedList::Chunk* RankedList::ChunkForId(ElementId id) const {
-  KSIR_CHECK(track_ids_);
-  ++probes_;
-  const auto it = chunk_of_.find(id);
-  KSIR_CHECK(it != chunk_of_.end());
-  Chunk* chunk = slots_[it->second];
-  KSIR_CHECK(chunk != nullptr);
-  return chunk;
-}
-
 std::uint32_t RankedList::OffsetOfId(const Chunk* chunk, ElementId id) {
   // Strided id scan over <= 64 contiguous keys (ids interleave with the
   // scores, stride 2 in 8-byte words).
   const std::size_t offset =
       kernels::FindId64(&chunk->keys[0].id, chunk->size, 2, id);
-  KSIR_CHECK(offset < chunk->size &&
-             "element missing from its side-table chunk");
+  KSIR_CHECK(offset < chunk->size && "element missing from its chunk");
   return static_cast<std::uint32_t>(offset);
 }
 
 RankedList::Chunk* RankedList::Locate(ElementId id, double old_score,
-                                      const Handle* handle,
+                                      Handle handle,
                                       std::uint32_t* offset) const {
-  if (handle != nullptr) {
-    Chunk* chunk = ResolveHandle(*handle);
-    if (chunk != nullptr) {
-      const Key key{old_score, id};
-      const Key* const first = chunk->keys.data();
-      const std::size_t pos = kernels::LowerBoundKeys(first, chunk->size, key);
-      if (pos < chunk->size && first[pos] == key) {
-        *offset = static_cast<std::uint32_t>(pos);
-        return chunk;
-      }
-    }
-  }
-  if (!track_ids_) {
-    // Handle miss without a side table: the carried key is self-locating —
-    // one binary search of the chunk directory, then of the chunk.
-    KSIR_CHECK(handle != nullptr && !chunks_.empty());
-    const Key key{old_score, id};
-    Chunk* chunk = chunks_[FindChunk(key)].get();
+  const Key key{old_score, id};
+  Chunk* chunk = ResolveHandle(handle);
+  if (chunk != nullptr) {
     const Key* const first = chunk->keys.data();
     const std::size_t pos = kernels::LowerBoundKeys(first, chunk->size, key);
-    KSIR_CHECK(pos < chunk->size && first[pos] == key);
-    *offset = static_cast<std::uint32_t>(pos);
-    return chunk;
+    if (pos < chunk->size && first[pos] == key) {
+      *offset = static_cast<std::uint32_t>(pos);
+      return chunk;
+    }
   }
-  // Handle miss (or id-keyed caller): the side table still knows the chunk;
-  // within it the id is found by one scan of <= 64 contiguous keys.
-  Chunk* chunk = ChunkForId(id);
-  *offset = OffsetOfId(chunk, id);
-  KSIR_DCHECK(handle == nullptr || chunk->keys[*offset].score == old_score);
+  // Handle miss: the carried key is self-locating — one binary search of
+  // the chunk directory, then of the chunk.
+  KSIR_CHECK(!chunks_.empty());
+  chunk = chunks_[FindChunk(key)].get();
+  const Key* const first = chunk->keys.data();
+  const std::size_t pos = kernels::LowerBoundKeys(first, chunk->size, key);
+  KSIR_CHECK(pos < chunk->size && first[pos] == key);
+  *offset = static_cast<std::uint32_t>(pos);
   return chunk;
 }
 
@@ -124,8 +102,8 @@ RankedList::Chunk* RankedList::InsertKey(const Key& key) {
   if (chunk->size == kChunkCapacity) {
     // Split into two halves, then re-aim at the half that owns `key`. The
     // lower half keeps its slot/generation (its elements' handles stay
-    // valid); the upper half's elements change chunks, so their side-table
-    // rows are rewritten here and their old handles miss harmlessly.
+    // valid); the upper half's elements change chunks, so their old
+    // handles miss harmlessly.
     auto upper_owned = NewChunk();
     Chunk* upper = upper_owned.get();
     constexpr std::uint32_t kHalf = kChunkCapacity / 2;
@@ -133,12 +111,6 @@ RankedList::Chunk* RankedList::InsertKey(const Key& key) {
                       kChunkCapacity - kHalf);
     upper->size = kChunkCapacity - kHalf;
     chunk->size = kHalf;
-    if (track_ids_) {
-      for (std::uint32_t i = 0; i < upper->size; ++i) {
-        ++probes_;
-        chunk_of_[upper->keys[i].id] = upper->slot;
-      }
-    }
     const auto offset = static_cast<std::ptrdiff_t>(idx);
     chunks_.insert(chunks_.begin() + offset + 1, std::move(upper_owned));
     chunk_last_.insert(chunk_last_.begin() + offset,
@@ -192,17 +164,11 @@ void RankedList::EraseKey(const Key& key) {
 void RankedList::MaybeMerge(std::size_t idx) {
   // Fold the sparse chunk into a neighbor when the pair stays under
   // capacity, bounding the chunk count under sustained churn. The moved
-  // elements' side-table rows follow; their handles go stale and miss.
+  // elements' handles go stale and miss.
   const auto merge_into = [this](std::size_t dst, std::size_t src) {
     Chunk* a = chunks_[dst].get();
     Chunk* b = chunks_[src].get();
     kernels::CopyKeys(a->keys.data() + a->size, b->keys.data(), b->size);
-    if (track_ids_) {
-      for (std::uint32_t i = 0; i < b->size; ++i) {
-        ++probes_;
-        chunk_of_[b->keys[i].id] = a->slot;
-      }
-    }
     a->size += b->size;
     chunk_last_[dst] = a->keys[a->size - 1];
     FreeChunk(b);
@@ -225,11 +191,6 @@ RankedList::Handle RankedList::Insert(ElementId id, double score) {
   // chunk order; reject it at the boundary instead.
   KSIR_CHECK(!std::isnan(score));
   Chunk* chunk = InsertKey(Key{score, id});
-  if (track_ids_) {
-    ++probes_;
-    const auto [it, inserted] = chunk_of_.emplace(id, chunk->slot);
-    KSIR_CHECK(inserted);
-  }
   return Handle{chunk->slot, chunk->gen};
 }
 
@@ -243,14 +204,8 @@ RankedList::Chunk* RankedList::MoveAt(Chunk* chunk, std::uint32_t offset,
       !(chunk->keys[chunk->size - 1] < new_key) &&
       (idx == 0 || chunk_last_[idx - 1] < new_key);
   if (!within) {
-    const std::uint32_t old_slot = chunk->slot;
     EraseKeyAt(chunk, offset);
-    Chunk* dest = InsertKey(new_key);
-    if (track_ids_ && dest->slot != old_slot) {
-      ++probes_;
-      chunk_of_[new_key.id] = dest->slot;
-    }
-    return dest;
+    return InsertKey(new_key);
   }
   Key* const first = chunk->keys.data();
   Key* const old_pos = first + offset;
@@ -271,18 +226,10 @@ RankedList::Chunk* RankedList::MoveAt(Chunk* chunk, std::uint32_t offset,
   return chunk;
 }
 
-void RankedList::Update(ElementId id, double score) {
-  KSIR_CHECK(!std::isnan(score));
-  Chunk* chunk = ChunkForId(id);
-  const std::uint32_t offset = OffsetOfId(chunk, id);
-  if (chunk->keys[offset].score == score) return;  // key unchanged
-  MoveAt(chunk, offset, Key{score, id});
-}
-
 void RankedList::UpdateHandle(const HandleUpdate& u) {
   KSIR_CHECK(!std::isnan(u.score));
   std::uint32_t offset = 0;
-  Chunk* chunk = Locate(u.id, u.old_score, u.handle, &offset);
+  Chunk* chunk = Locate(u.id, u.old_score, *u.handle, &offset);
   if (chunk->keys[offset].score == u.score) {
     *u.handle = Handle{chunk->slot, chunk->gen};
     return;
@@ -291,56 +238,20 @@ void RankedList::UpdateHandle(const HandleUpdate& u) {
   *u.handle = Handle{dest->slot, dest->gen};
 }
 
-void RankedList::ApplyBatch(const Tuple* updates, std::size_t n,
-                            BatchScratch* scratch) {
-  scratch->removals.clear();
-  scratch->insertions.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Tuple& update = updates[i];
-    KSIR_CHECK(!std::isnan(update.score));
-    std::uint32_t offset = 0;
-    Chunk* chunk = Locate(update.id, 0.0, nullptr, &offset);
-    const Key old_key = chunk->keys[offset];
-    if (old_key.score == update.score) continue;  // key unchanged
-    scratch->removals.push_back(old_key);
-    scratch->insertions.push_back(BatchScratch::PendingInsert{
-        Key{update.score, update.id}, nullptr, chunk->slot});
-  }
-  MergeBatch(scratch);
-}
-
 void RankedList::ApplyBatchHandles(const HandleUpdate* updates, std::size_t n,
                                    BatchScratch* scratch) {
+  // The carried listed scores ARE the old keys, so the batch needs no
+  // per-update resolution at all: the merge sweep removes the carried keys
+  // (its own consistency checks verify every one was present), inserts the
+  // new ones and mints the refreshed handles where they land.
   scratch->removals.clear();
   scratch->insertions.clear();
-  if (!track_ids_) {
-    // The carried listed scores ARE the old keys, so the batch needs no
-    // per-tuple resolution at all: the merge sweep removes the carried
-    // keys (its own consistency checks verify every one was present),
-    // inserts the new ones and mints the refreshed handles where they
-    // land. Score-unchanged tuples were already elided upstream.
-    for (std::size_t i = 0; i < n; ++i) {
-      const HandleUpdate& u = updates[i];
-      KSIR_CHECK(!std::isnan(u.score));
-      scratch->removals.push_back(Key{u.old_score, u.id});
-      scratch->insertions.push_back(BatchScratch::PendingInsert{
-          Key{u.score, u.id}, u.handle, Handle::kInvalidSlot});
-    }
-    MergeBatch(scratch);
-    return;
-  }
   for (std::size_t i = 0; i < n; ++i) {
     const HandleUpdate& u = updates[i];
     KSIR_CHECK(!std::isnan(u.score));
-    std::uint32_t offset = 0;
-    Chunk* chunk = Locate(u.id, u.old_score, u.handle, &offset);
-    if (chunk->keys[offset].score == u.score) {
-      *u.handle = Handle{chunk->slot, chunk->gen};
-      continue;
-    }
-    scratch->removals.push_back(chunk->keys[offset]);
-    scratch->insertions.push_back(BatchScratch::PendingInsert{
-        Key{u.score, u.id}, u.handle, chunk->slot});
+    scratch->removals.push_back(Key{u.old_score, u.id});
+    scratch->insertions.push_back(
+        BatchScratch::PendingInsert{Key{u.score, u.id}, u.handle});
   }
   MergeBatch(scratch);
 }
@@ -366,8 +277,7 @@ void RankedList::MergeBatch(BatchScratch* scratch) {
   // repositioned id's old and new key differ), so the merge needs no
   // tie-breaking. A chunk the batch would grow past capacity defers its
   // ops to the per-element path below (rare: needs >capacity keys landing
-  // in one chunk's span). Landed insertions mint their handle on the spot
-  // and rewrite the side table only when the element changed chunks.
+  // in one chunk's span). Landed insertions mint their handle on the spot.
   std::size_t ri = 0;
   std::size_t ii = 0;
   bool any_small = false;
@@ -456,14 +366,7 @@ void RankedList::MergeBatch(BatchScratch* scratch) {
     kernels::MergeKeys(keys + s, tmp.data(), kept, ins_keys.data(),
                        ins_count);
     for (; ii < i_end; ++ii) {
-      const BatchScratch::PendingInsert& ins = insertions[ii];
-      if (ins.handle != nullptr) {
-        *ins.handle = Handle{chunk->slot, chunk->gen};
-      }
-      if (track_ids_ && ins.old_slot != chunk->slot) {
-        ++probes_;
-        chunk_of_[ins.key.id] = chunk->slot;
-      }
+      *insertions[ii].handle = Handle{chunk->slot, chunk->gen};
     }
     chunk->size = static_cast<std::uint32_t>(new_size);
     if (new_size > 0) chunk_last_[c] = keys[new_size - 1];
@@ -488,12 +391,6 @@ void RankedList::MergeBatch(BatchScratch* scratch) {
         Chunk* src = chunks_[c].get();
         kernels::CopyKeys(dst->keys.data() + dst->size, src->keys.data(),
                           src->size);
-        if (track_ids_) {
-          for (std::uint32_t i = 0; i < src->size; ++i) {
-            ++probes_;
-            chunk_of_[src->keys[i].id] = dst->slot;
-          }
-        }
         dst->size += src->size;
         chunk_last_[write - 1] = dst->keys[dst->size - 1];
         FreeChunk(src);
@@ -518,34 +415,17 @@ void RankedList::MergeBatch(BatchScratch* scratch) {
   for (const Key& key : deferred_removals) EraseKey(key);
   for (const BatchScratch::PendingInsert& ins : deferred_insertions) {
     Chunk* dest = InsertKey(ins.key);
-    if (ins.handle != nullptr) *ins.handle = Handle{dest->slot, dest->gen};
-    if (track_ids_ && ins.old_slot != dest->slot) {
-      ++probes_;
-      chunk_of_[ins.key.id] = dest->slot;
-    }
+    *ins.handle = Handle{dest->slot, dest->gen};
   }
-}
-
-void RankedList::Erase(ElementId id) {
-  Chunk* chunk = ChunkForId(id);
-  EraseKeyAt(chunk, OffsetOfId(chunk, id));
-  ++probes_;
-  chunk_of_.erase(id);
 }
 
 void RankedList::EraseHandle(ElementId id, double score, Handle handle) {
   std::uint32_t offset = 0;
-  Chunk* chunk = Locate(id, score, &handle, &offset);
+  Chunk* chunk = Locate(id, score, handle, &offset);
   EraseKeyAt(chunk, offset);
-  if (track_ids_) {
-    ++probes_;
-    chunk_of_.erase(id);
-  }
 }
 
 const RankedList::Chunk* RankedList::FindChunkOfId(ElementId id) const {
-  if (track_ids_) return ChunkForId(id);
-  // Untracked diagnostic path: full scan (tests and debugging only).
   for (const auto& chunk : chunks_) {
     for (std::uint32_t i = 0; i < chunk->size; ++i) {
       if (chunk->keys[i].id == id) return chunk.get();
@@ -555,7 +435,6 @@ const RankedList::Chunk* RankedList::FindChunkOfId(ElementId id) const {
 }
 
 bool RankedList::Contains(ElementId id) const {
-  if (track_ids_) return chunk_of_.contains(id);
   return FindChunkOfId(id) != nullptr;
 }
 
@@ -595,12 +474,9 @@ RankedList::HandleState RankedList::ProbeHandle(Handle handle, ElementId id,
                                                 : HandleState::kStale;
 }
 
-RankedListIndex::RankedListIndex(std::size_t num_topics, bool track_ids) {
+RankedListIndex::RankedListIndex(std::size_t num_topics)
+    : lists_(num_topics) {
   KSIR_CHECK(num_topics > 0);
-  lists_.reserve(num_topics);
-  for (std::size_t i = 0; i < num_topics; ++i) {
-    lists_.emplace_back(track_ids);
-  }
 }
 
 void RankedListIndex::Insert(
@@ -645,30 +521,6 @@ RankedList::Handle RankedListIndex::InsertListEntry(TopicId topic,
   return lists_[static_cast<std::size_t>(topic)].Insert(id, score);
 }
 
-void RankedListIndex::Update(
-    ElementId id, const std::vector<std::pair<TopicId, double>>& topic_scores,
-    Timestamp te) {
-  const auto it = membership_.find(id);
-  KSIR_CHECK(it != membership_.end());
-  KSIR_CHECK(it->second.topics.size() == topic_scores.size());
-  it->second.te = te;
-  for (const auto& [topic, score] : topic_scores) {
-    lists_[static_cast<std::size_t>(topic)].Update(id, score);
-  }
-}
-
-void RankedListIndex::UpdateTrusted(
-    ElementId id, const std::vector<std::pair<TopicId, double>>& topic_scores,
-    Timestamp te) {
-  const auto it = membership_.find(id);
-  KSIR_DCHECK(it != membership_.end());
-  KSIR_DCHECK(it->second.topics.size() == topic_scores.size());
-  it->second.te = te;
-  for (const auto& [topic, score] : topic_scores) {
-    lists_[static_cast<std::size_t>(topic)].Update(id, score);
-  }
-}
-
 void RankedListIndex::TouchTime(ElementId id, Timestamp te) {
   const auto it = membership_.find(id);
   KSIR_CHECK(it != membership_.end());
@@ -681,24 +533,11 @@ Timestamp RankedListIndex::TimeOf(ElementId id) const {
   return it->second.te;
 }
 
-void RankedListIndex::BatchReposition(TopicId topic,
-                                      const RankedList::Tuple* updates,
-                                      std::size_t n, bool merge,
-                                      RankedList::BatchScratch* scratch) {
+void RankedListIndex::UpdateHandle(TopicId topic,
+                                   const RankedList::HandleUpdate& u) {
   KSIR_CHECK(topic >= 0 && static_cast<std::size_t>(topic) < lists_.size());
-  RankedList& list = lists_[static_cast<std::size_t>(topic)];
-#ifndef NDEBUG
-  for (std::size_t i = 0; i < n; ++i) {
-    KSIR_DCHECK(membership_.contains(updates[i].id));
-  }
-#endif
-  if (merge) {
-    list.ApplyBatch(updates, n, scratch);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      list.Update(updates[i].id, updates[i].score);
-    }
-  }
+  KSIR_DCHECK(membership_.contains(u.id));
+  lists_[static_cast<std::size_t>(topic)].UpdateHandle(u);
 }
 
 void RankedListIndex::BatchRepositionHandles(
@@ -718,16 +557,6 @@ void RankedListIndex::BatchRepositionHandles(
       list.UpdateHandle(updates[i]);
     }
   }
-}
-
-void RankedListIndex::Erase(ElementId id) {
-  const auto it = membership_.find(id);
-  KSIR_CHECK(it != membership_.end());
-  for (TopicId topic : it->second.topics) {
-    lists_[static_cast<std::size_t>(topic)].Erase(id);
-    --total_entries_;
-  }
-  membership_.erase(it);
 }
 
 void RankedListIndex::EraseWithHints(ElementId id,
@@ -767,12 +596,6 @@ void RankedListIndex::EraseListEntry(TopicId topic, ElementId id,
 const RankedList& RankedListIndex::list(TopicId topic) const {
   KSIR_CHECK(topic >= 0 && static_cast<std::size_t>(topic) < lists_.size());
   return lists_[static_cast<std::size_t>(topic)];
-}
-
-std::uint64_t RankedListIndex::id_table_probes() const {
-  std::uint64_t total = 0;
-  for (const RankedList& list : lists_) total += list.id_table_probes();
-  return total;
 }
 
 }  // namespace ksir

@@ -18,15 +18,11 @@
 // Handles (stable chunk slot + generation) minted by Insert and refreshed
 // by every mutation. A valid handle resolves an element's chunk with two
 // array reads and one in-chunk binary search — no hashing. Because every
-// pipeline operation also carries the element's exact listed score, a
-// stale handle falls back to the self-locating key: FindChunk(old key) is
-// one binary search of the contiguous chunk directory, still no hashing.
-// The id side table (id -> chunk slot) therefore only serves id-keyed
-// entry points (Update/Erase by id, Get, Contains — the reference paths
-// and diagnostics); a handle-carrying engine constructs its lists with
-// `track_ids = false`, dropping the table and ALL of its maintenance
-// (insert/erase/split/merge rewrites). A probe counter proves the
-// reposition paths perform zero id-table hash probes.
+// mutation also carries the element's exact listed score, a stale handle
+// falls back to the self-locating key: FindChunk(old key) is one binary
+// search of the contiguous chunk directory, still no hashing. The lists
+// therefore keep no id -> position table at all; Get/Contains by id are
+// full-scan diagnostics.
 #ifndef KSIR_CORE_RANKED_LIST_H_
 #define KSIR_CORE_RANKED_LIST_H_
 
@@ -56,19 +52,13 @@ class RankedList {
   static_assert(std::is_same_v<decltype(Key::id), ElementId>,
                 "kernels::Key16 must carry the engine's element id type");
 
-  /// One pending id-keyed reposition (the t_e half of the paper's tuple
-  /// lives in RankedListIndex, once per element).
-  struct Tuple {
-    ElementId id;
-    double score;
-  };
-
   /// Opaque position hint: the stable slot id of the chunk holding the
   /// element plus that chunk's incarnation generation. A handle is a HINT,
   /// never authority: resolution verifies the exact key is present in the
-  /// hinted chunk and falls back to the id side table otherwise, so a stale
-  /// handle (its chunk split, merged, or died) costs one extra probe, not
-  /// correctness. The default-constructed handle always misses.
+  /// hinted chunk and falls back to a directory search for the carried key
+  /// otherwise, so a stale handle (its chunk split, merged, or died) costs
+  /// one binary search, not correctness. The default-constructed handle
+  /// always misses.
   struct Handle {
     static constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
     std::uint32_t slot = kInvalidSlot;
@@ -163,14 +153,11 @@ class RankedList {
   /// insertion runs). Owned by the caller so one buffer serves every list
   /// of an index; never shared across threads.
   struct BatchScratch {
-    /// One pending insertion: the new key, the handle slot to refresh
-    /// (nullable on the id path) and the slot the element currently
-    /// occupies (so cross-chunk landings update the side table, same-chunk
-    /// landings touch nothing).
+    /// One pending insertion: the new key and the handle slot to refresh
+    /// where it lands.
     struct PendingInsert {
       Key key;
       Handle* handle;
-      std::uint32_t old_slot;
     };
     std::vector<Key> removals;
     std::vector<PendingInsert> insertions;
@@ -180,56 +167,35 @@ class RankedList {
     std::vector<PendingInsert> deferred_insertions;
   };
 
-  /// `track_ids` maintains the id -> chunk side table behind the id-keyed
-  /// entry points. Handle-carrying engines pass false: every operation
-  /// carries its exact key, so the table (and its split/merge upkeep) is
-  /// dead weight; Get/Contains then fall back to a full scan (diagnostic
-  /// and test use only) and the id-keyed mutators are forbidden.
-  explicit RankedList(bool track_ids = true) : track_ids_(track_ids) {}
-
   /// Inserts a new element; it must not be present. Returns the minted
   /// position handle.
   Handle Insert(ElementId id, double score);
 
-  /// Repositions an existing element with a new score, resolving the
-  /// position by id (side-table probe). The reference path; the pipeline
-  /// uses UpdateHandle / the batch entry points. Requires track_ids.
-  void Update(ElementId id, double score);
-
   /// Repositions one element through its carried handle and listed score;
   /// writes the refreshed handle back into *u.handle. The no-split
   /// common case (new key stays in the hinted chunk) performs zero
-  /// id-table probes and zero directory searches.
+  /// directory searches.
   void UpdateHandle(const HandleUpdate& u);
 
-  /// Repositions `n` existing elements (each present, each at most once) in
-  /// one pass: the pending keys are sorted and merged into the chunk
-  /// sequence in a single sweep of the chunk directory, instead of `n`
-  /// independent binary-search + memmove operations. Equivalent to calling
-  /// Update once per tuple — the resulting key sequence and side table are
-  /// identical; only the (unobservable) chunk boundaries may differ.
-  /// Resolves every tuple by id (the PR 3 baseline path).
-  void ApplyBatch(const Tuple* updates, std::size_t n, BatchScratch* scratch);
-
-  /// ApplyBatch over handle-carrying updates: old keys come from the
-  /// carried listed scores, positions from the handles, and every moved
+  /// Repositions `n` existing elements (each present, each at most once)
+  /// in one pass: the carried old and new keys are sorted and merged into
+  /// the chunk sequence in a single sweep of the chunk directory, instead
+  /// of `n` independent binary-search + memmove operations, and every
   /// element's refreshed handle is written back through its HandleUpdate.
+  /// Equivalent to calling UpdateHandle once per update — the resulting
+  /// key sequence is identical; only the (unobservable) chunk boundaries
+  /// may differ.
   void ApplyBatchHandles(const HandleUpdate* updates, std::size_t n,
                          BatchScratch* scratch);
-
-  /// Removes an element; it must be present. Id-keyed reference path;
-  /// requires track_ids.
-  void Erase(ElementId id);
 
   /// Removes an element through its carried handle + listed score.
   void EraseHandle(ElementId id, double score, Handle handle);
 
+  /// Diagnostics (full scan; tests and debugging only).
   bool Contains(ElementId id) const;
 
-  /// Current score of a present element.
+  /// Current score of a present element (full scan, as Contains).
   double Get(ElementId id) const;
-
-  bool tracks_ids() const { return track_ids_; }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -245,11 +211,6 @@ class RankedList {
   /// bookkeeping), advances *pos past them and returns how many were
   /// copied. 0 iff *pos is end().
   std::size_t DrainTop(const_iterator* pos, Key* out, std::size_t n) const;
-
-  /// Cumulative id-side-table hash operations (find/insert/erase). The
-  /// no-split handle reposition fast path performs none; asserting this
-  /// counter flat across such a batch is the zero-probe contract's test.
-  std::uint64_t id_table_probes() const { return probes_; }
 
   /// Diagnostic handle resolution (tests): kValid when the hinted chunk is
   /// alive, same incarnation, and contains exactly Key{score, id}.
@@ -268,22 +229,20 @@ class RankedList {
 
   /// slots_[h.slot] when alive and same incarnation, else nullptr.
   Chunk* ResolveHandle(Handle h) const;
-  /// Chunk currently holding `id`, via the side table (counts one probe).
-  Chunk* ChunkForId(ElementId id) const;
   /// In-chunk offset of `id` (linear scan over <= 64 contiguous keys).
   static std::uint32_t OffsetOfId(const Chunk* chunk, ElementId id);
 
-  /// Locates the current key of one reposition: through the handle when it
-  /// resolves, else through the side table. Returns the chunk and writes
-  /// the offset of the element's key.
-  Chunk* Locate(ElementId id, double old_score, const Handle* handle,
+  /// Locates the listed key {old_score, id}: through the handle when it
+  /// resolves, else by a directory search for the key itself. Returns the
+  /// chunk and writes the offset of the element's key.
+  Chunk* Locate(ElementId id, double old_score, Handle handle,
                 std::uint32_t* offset) const;
 
   /// Inserts `key`, splitting if needed; returns the chunk that received
-  /// the key. Does NOT touch the side table (callers decide).
+  /// the key.
   Chunk* InsertKey(const Key& key);
   /// Erases the key at `offset` of `chunk`, merging / dropping the chunk
-  /// when it runs dry. Does NOT touch the side table for the erased id.
+  /// when it runs dry.
   void EraseKeyAt(Chunk* chunk, std::uint32_t offset);
   /// Erase by key value (directory search + EraseKeyAt).
   void EraseKey(const Key& key);
@@ -294,13 +253,13 @@ class RankedList {
   /// every bucket. Returns the chunk that holds the key afterwards.
   Chunk* MoveAt(Chunk* chunk, std::uint32_t offset, const Key& new_key);
 
-  /// Shared one-sweep merge of the sorted removal/insertion runs built by
-  /// the two ApplyBatch flavors.
+  /// One-sweep merge of the removal/insertion runs in `scratch`.
   void MergeBatch(BatchScratch* scratch);
 
   /// Merges chunk `idx` with a neighbor when the pair fits in one chunk.
   void MaybeMerge(std::size_t idx);
 
+  /// Chunk holding `id`, or nullptr (full scan).
   const Chunk* FindChunkOfId(ElementId id) const;
 
   ChunkVector chunks_;
@@ -310,14 +269,7 @@ class RankedList {
   std::vector<Chunk*> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint32_t next_gen_ = 0;
-  /// Id side table: element -> chunk slot. Only the chunk is tracked — the
-  /// in-chunk position is implied by the sorted keys — so in-chunk
-  /// repositions never touch it; it changes only when an element changes
-  /// chunks (insert, erase, cross-chunk move, split, merge).
-  FlatHashMap<ElementId, std::uint32_t> chunk_of_;
-  bool track_ids_ = true;
   std::size_t size_ = 0;
-  mutable std::uint64_t probes_ = 0;
 };
 
 /// The z ranked lists plus the per-element membership record: the topic
@@ -327,9 +279,7 @@ class RankedList {
 /// updates it with one write instead of z.
 class RankedListIndex {
  public:
-  /// `track_ids` is forwarded to every list (see RankedList): false for
-  /// handle-carrying engines, true for the id-keyed reference paths.
-  explicit RankedListIndex(std::size_t num_topics, bool track_ids = true);
+  explicit RankedListIndex(std::size_t num_topics);
 
   /// Inserts `id` into the list of every (topic, score) pair. When
   /// `handles_out` is non-null it receives the minted handle of each list
@@ -353,47 +303,28 @@ class RankedListIndex {
   RankedList::Handle InsertListEntry(TopicId topic, ElementId id,
                                      double score);
 
-  /// Repositions `id` in every list it belongs to. `topic_scores` must cover
-  /// exactly the element's topic support (same topics as at insertion).
-  void Update(ElementId id,
-              const std::vector<std::pair<TopicId, double>>& topic_scores,
-              Timestamp te);
+  /// Repositions one element on one topic's list through its carried
+  /// handle and listed score (RankedList::UpdateHandle); the element must
+  /// have `topic` in its insertion support.
+  void UpdateHandle(TopicId topic, const RankedList::HandleUpdate& u);
 
-  /// Update without the membership probe, for callers whose `topic_scores`
-  /// provably mirror the insertion support (the ScoreCache reposition path:
-  /// its entry was built from the same topic vector the membership was).
-  /// Debug builds still verify.
-  void UpdateTrusted(
-      ElementId id,
-      const std::vector<std::pair<TopicId, double>>& topic_scores,
-      Timestamp te);
-
-  /// Applies `n` repositions destined for one topic's list, under the same
-  /// trusted contract as UpdateTrusted: every tuple's element must have
-  /// `topic` in its insertion support. `merge` selects the one-pass
-  /// RankedList::ApplyBatch sweep; false falls back to per-element Updates
-  /// (profitable for lists with only a couple of pending repositions).
-  void BatchReposition(TopicId topic, const RankedList::Tuple* updates,
-                       std::size_t n, bool merge,
-                       RankedList::BatchScratch* scratch);
-
-  /// Handle-carrying flavor of BatchReposition: positions resolve through
-  /// the carried handles and refreshed handles are written back.
+  /// Applies `n` repositions destined for one topic's list: every update's
+  /// element must have `topic` in its insertion support. `merge` selects
+  /// the one-pass RankedList::ApplyBatchHandles sweep; false falls back to
+  /// per-element UpdateHandle calls (profitable for lists with only a
+  /// couple of pending repositions). Refreshed handles are written back.
   void BatchRepositionHandles(TopicId topic,
                               const RankedList::HandleUpdate* updates,
                               std::size_t n, bool merge,
                               RankedList::BatchScratch* scratch);
 
   /// Updates the element's t_e (one membership write; the lists are not
-  /// touched). Used by the batched paths, whose per-topic runs carry only
-  /// score changes.
+  /// touched). The maintenance pipeline's per-topic runs carry only score
+  /// changes, so t_e moves through here.
   void TouchTime(ElementId id, Timestamp te);
 
   /// t_e of an indexed element.
   Timestamp TimeOf(ElementId id) const;
-
-  /// Removes `id` from all its lists (id-keyed reference path).
-  void Erase(ElementId id);
 
   /// Removes `id` using carried per-topic hints; `hints` must cover exactly
   /// the element's insertion support (debug-verified). Equivalent to
@@ -426,9 +357,6 @@ class RankedListIndex {
 
   /// Number of distinct indexed elements.
   std::size_t num_elements() const { return membership_.size(); }
-
-  /// Sum of id_table_probes() over all lists (zero-probe contract checks).
-  std::uint64_t id_table_probes() const;
 
  private:
   struct Membership {

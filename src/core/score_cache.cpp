@@ -12,12 +12,6 @@ ScoreCache::~ScoreCache() {
   for (auto& [id, entry] : entries_) pool_.Destroy(entry);
 }
 
-ScoreCache::TopicList& ScoreCache::Insert(const SocialElement& e) {
-  TopicList& topics = AllocateEntry(e);
-  ComputeHalves(e, &topics, &acc_);
-  return topics;
-}
-
 ScoreCache::TopicList& ScoreCache::AllocateEntry(const SocialElement& e) {
   TopicList*& slot = entries_[e.id];
   if (slot == nullptr) slot = pool_.Create();
@@ -74,12 +68,6 @@ void ScoreCache::Erase(ElementId id) {
 const ScoreCache::TopicList* ScoreCache::Find(ElementId id) const {
   const auto it = entries_.find(id);
   return it == entries_.end() ? nullptr : it->second;
-}
-
-ScoreCache::TopicList& ScoreCache::MutableHalves(ElementId id) {
-  const auto it = entries_.find(id);
-  KSIR_CHECK(it != entries_.end());
-  return *it->second;
 }
 
 }  // namespace ksir

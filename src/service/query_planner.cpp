@@ -173,28 +173,21 @@ StatusOr<QueryResult> QueryPlanner::Plan(const KsirQuery& query) const {
   }
 
   // --- Step 3: never return less than the best single shard. ---
-  QueryResult final_result;
-  if (merged.score > answers[best_shard].result.score + 1e-12) {
-    merge_wins_counter_->Add(1);
-    final_result = std::move(merged);
-  } else {
-    best_shard_wins_counter_->Add(1);
-    final_result = std::move(answers[best_shard].result);
-    final_result.stats.num_evaluated += merged.stats.num_evaluated;
-    final_result.stats.num_gain_evaluations +=
-        merged.stats.num_gain_evaluations;
+  const bool merge_wins =
+      merged.score > answers[best_shard].result.score + 1e-12;
+  (merge_wins ? merge_wins_counter_ : best_shard_wins_counter_)->Add(1);
+  // The work counters report the whole plan: the merge plus every shard.
+  QueryStats work = merged.stats;
+  for (const ShardAnswer& answer : answers) {
+    work.num_evaluated += answer.result.stats.num_evaluated;
+    work.num_retrieved += answer.result.stats.num_retrieved;
+    work.num_gain_evaluations += answer.result.stats.num_gain_evaluations;
+    work.num_candidates_or_rounds +=
+        answer.result.stats.num_candidates_or_rounds;
   }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (i == best_shard && merged.score <= answers[best_shard].result.score +
-                                              1e-12) {
-      continue;  // already counted via final_result
-    }
-    final_result.stats.num_evaluated += answers[i].result.stats.num_evaluated;
-    final_result.stats.num_retrieved +=
-        answers[i].result.stats.num_retrieved;
-    final_result.stats.num_gain_evaluations +=
-        answers[i].result.stats.num_gain_evaluations;
-  }
+  QueryResult final_result =
+      merge_wins ? std::move(merged) : std::move(answers[best_shard].result);
+  final_result.stats = work;
   final_result.stats.elapsed_ms = timer.ElapsedMillis();
   return final_result;
 }

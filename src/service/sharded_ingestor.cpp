@@ -63,8 +63,11 @@ Status ShardedIngestor::AdvanceTo(Timestamp bucket_end,
   }
 
   // Validate the whole bucket before routing anything, so a rejected call
-  // leaves the router untouched. The router tracks every id inside the
-  // resurrectability horizon, which also catches cross-bucket duplicates.
+  // leaves the router and every shard untouched. The router tracks every
+  // id inside the resurrectability horizon, which also catches
+  // cross-bucket duplicates.
+  KSIR_RETURN_NOT_OK(
+      ValidateTopicVectors(bucket, shards_.front()->index().num_topics()));
   Timestamp prev_ts = previous;
   std::unordered_set<ElementId> bucket_ids;
   bucket_ids.reserve(bucket.size());

@@ -43,18 +43,19 @@ TEST(RankedListTest, TiesBreakById) {
 
 TEST(RankedListTest, UpdateRepositions) {
   RankedList list;
-  list.Insert(1, 0.3);
+  RankedList::Handle h1 = list.Insert(1, 0.3);
   list.Insert(2, 0.9);
-  list.Update(1, 1.5);
+  list.UpdateHandle({1, 0.3, 1.5, &h1});
   EXPECT_EQ(list.begin()->id, 1);
   EXPECT_DOUBLE_EQ(list.Get(1), 1.5);
+  EXPECT_EQ(list.ProbeHandle(h1, 1, 1.5), RankedList::HandleState::kValid);
 }
 
 TEST(RankedListTest, EraseRemoves) {
   RankedList list;
   list.Insert(1, 0.3);
-  list.Insert(2, 0.9);
-  list.Erase(2);
+  const RankedList::Handle h2 = list.Insert(2, 0.9);
+  list.EraseHandle(2, 0.9, h2);
   EXPECT_EQ(list.size(), 1u);
   EXPECT_FALSE(list.Contains(2));
   EXPECT_TRUE(list.Contains(1));
@@ -62,9 +63,9 @@ TEST(RankedListTest, EraseRemoves) {
 
 TEST(RankedListTest, EqualScoresDistinctElementsCoexist) {
   RankedList list;
-  list.Insert(1, 0.5);
+  const RankedList::Handle h1 = list.Insert(1, 0.5);
   list.Insert(2, 0.5);
-  list.Erase(1);
+  list.EraseHandle(1, 0.5, h1);
   EXPECT_TRUE(list.Contains(2));
   EXPECT_DOUBLE_EQ(list.Get(2), 0.5);
 }
@@ -85,8 +86,11 @@ TEST(RankedListIndexTest, InsertSpansTopics) {
 
 TEST(RankedListIndexTest, EraseClearsAllLists) {
   RankedListIndex index(3);
-  index.Insert(1, {{0, 0.9}, {1, 0.5}}, 5);
-  index.Erase(1);
+  RankedList::Handle handles[2];
+  index.Insert(1, {{0, 0.9}, {1, 0.5}}, 5, handles);
+  const RankedList::ErasureHint hints[] = {{0, 0.9, handles[0]},
+                                           {1, 0.5, handles[1]}};
+  index.EraseWithHints(1, hints, 2);
   EXPECT_FALSE(index.Contains(1));
   EXPECT_EQ(index.total_entries(), 0u);
   EXPECT_TRUE(index.list(0).empty());
@@ -94,9 +98,12 @@ TEST(RankedListIndexTest, EraseClearsAllLists) {
 
 TEST(RankedListIndexTest, UpdateRepositionsAcrossListsAndMovesTime) {
   RankedListIndex index(2);
-  index.Insert(1, {{0, 0.9}, {1, 0.1}}, 5);
+  RankedList::Handle handles[2];
+  index.Insert(1, {{0, 0.9}, {1, 0.1}}, 5, handles);
   index.Insert(2, {{0, 0.5}, {1, 0.5}}, 6);
-  index.Update(1, {{0, 0.2}, {1, 0.8}}, 7);
+  index.UpdateHandle(0, {1, 0.9, 0.2, &handles[0]});
+  index.UpdateHandle(1, {1, 0.1, 0.8, &handles[1]});
+  index.TouchTime(1, 7);
   EXPECT_EQ(index.list(0).begin()->id, 2);
   EXPECT_EQ(index.list(1).begin()->id, 1);
   EXPECT_EQ(index.TimeOf(1), 7);
@@ -105,12 +112,17 @@ TEST(RankedListIndexTest, UpdateRepositionsAcrossListsAndMovesTime) {
 
 TEST(RankedListIndexTest, TouchTimeUpdatesWithoutListWork) {
   RankedListIndex index(2);
-  index.Insert(1, {{0, 0.9}}, 5);
-  const std::uint64_t probes = index.id_table_probes();
+  const RankedList::Handle handle = [&] {
+    RankedList::Handle h;
+    index.Insert(1, {{0, 0.9}}, 5, &h);
+    return h;
+  }();
   index.TouchTime(1, 9);
   EXPECT_EQ(index.TimeOf(1), 9);
   EXPECT_DOUBLE_EQ(index.list(0).Get(1), 0.9);
-  EXPECT_EQ(index.id_table_probes(), probes + 1);  // only the Get probed
+  // The list entry (and so its handle) was not touched.
+  EXPECT_EQ(index.list(0).ProbeHandle(handle, 1, 0.9),
+            RankedList::HandleState::kValid);
 }
 
 // --------------------------------------------- Figure 5 golden list state --
@@ -297,9 +309,13 @@ TEST(RankedListChurnTest, MatchesOrderedReferenceAcrossSplitsAndMerges) {
   // Drive the chunked backing store through thousands of inserts, updates
   // and erases (far beyond one chunk's capacity) and require iteration to
   // match an std::set reference at every checkpoint.
+  struct Shadow {
+    double score;
+    RankedList::Handle handle;
+  };
   RankedList list;
   std::set<RankedList::Key> reference;
-  std::map<ElementId, double> score_of;
+  std::map<ElementId, Shadow> shadow;
   std::mt19937_64 rng(2024);
   std::uniform_real_distribution<double> score_dist(0.0, 1.0);
 
@@ -318,38 +334,38 @@ TEST(RankedListChurnTest, MatchesOrderedReferenceAcrossSplitsAndMerges) {
   ElementId next_id = 0;
   for (int round = 0; round < 6000; ++round) {
     const double action = score_dist(rng);
-    if (action < 0.5 || score_of.empty()) {
+    if (action < 0.5 || shadow.empty()) {
       const ElementId id = next_id++;
       const double score = score_dist(rng);
-      list.Insert(id, score);
+      shadow[id] = Shadow{score, list.Insert(id, score)};
       reference.insert(RankedList::Key{score, id});
-      score_of[id] = score;
     } else if (action < 0.8) {
-      auto it = score_of.begin();
+      auto it = shadow.begin();
       std::advance(it, static_cast<std::ptrdiff_t>(
-                           rng() % score_of.size()));
+                           rng() % shadow.size()));
+      Shadow& s = it->second;
       const double score = score_dist(rng);
-      reference.erase(RankedList::Key{it->second, it->first});
+      reference.erase(RankedList::Key{s.score, it->first});
       reference.insert(RankedList::Key{score, it->first});
-      list.Update(it->first, score);
-      it->second = score;
+      list.UpdateHandle({it->first, s.score, score, &s.handle});
+      s.score = score;
     } else {
-      auto it = score_of.begin();
+      auto it = shadow.begin();
       std::advance(it, static_cast<std::ptrdiff_t>(
-                           rng() % score_of.size()));
-      list.Erase(it->first);
-      reference.erase(RankedList::Key{it->second, it->first});
-      score_of.erase(it);
+                           rng() % shadow.size()));
+      list.EraseHandle(it->first, it->second.score, it->second.handle);
+      reference.erase(RankedList::Key{it->second.score, it->first});
+      shadow.erase(it);
     }
     if (round % 500 == 499) verify();
   }
   verify();
   // Drain to empty through the erase/merge path.
-  while (!score_of.empty()) {
-    const auto it = score_of.begin();
-    list.Erase(it->first);
-    reference.erase(RankedList::Key{it->second, it->first});
-    score_of.erase(it);
+  while (!shadow.empty()) {
+    const auto it = shadow.begin();
+    list.EraseHandle(it->first, it->second.score, it->second.handle);
+    reference.erase(RankedList::Key{it->second.score, it->first});
+    shadow.erase(it);
   }
   EXPECT_TRUE(list.empty());
   EXPECT_EQ(list.begin(), list.end());
@@ -357,11 +373,13 @@ TEST(RankedListChurnTest, MatchesOrderedReferenceAcrossSplitsAndMerges) {
 
 TEST(RankedListChurnTest, GetSurvivesRepositioning) {
   RankedList list;
+  std::vector<RankedList::Handle> handles(300);
   for (ElementId id = 0; id < 300; ++id) {
-    list.Insert(id, static_cast<double>(id % 7));
+    handles[id] = list.Insert(id, static_cast<double>(id % 7));
   }
   for (ElementId id = 0; id < 300; id += 3) {
-    list.Update(id, static_cast<double>(id % 11) + 0.5);
+    list.UpdateHandle({id, static_cast<double>(id % 7),
+                       static_cast<double>(id % 11) + 0.5, &handles[id]});
   }
   for (ElementId id = 0; id < 300; ++id) {
     if (id % 3 == 0) {
@@ -372,69 +390,80 @@ TEST(RankedListChurnTest, GetSurvivesRepositioning) {
   }
 }
 
-// ----------------------------------------------------------- ApplyBatch --
+// ---------------------------------------------------- ApplyBatchHandles --
 
-/// Applies `updates` to `batched` via one ApplyBatch call and to `single`
-/// via per-element Update calls, then requires identical key sequences.
-void CheckBatchMatchesSingle(RankedList* batched, RankedList* single,
-                             const std::vector<RankedList::Tuple>& updates) {
-  RankedList::BatchScratch scratch;
-  batched->ApplyBatch(updates.data(), updates.size(), &scratch);
-  for (const auto& update : updates) {
-    single->Update(update.id, update.score);
+/// Twin lists with carried per-element state: `batched` repositions through
+/// one ApplyBatchHandles call, `single` through per-element UpdateHandle.
+struct BatchTwin {
+  RankedList batched;
+  RankedList single;
+  std::map<ElementId, double> scores;
+  std::map<ElementId, RankedList::Handle> batched_handles;
+  std::map<ElementId, RankedList::Handle> single_handles;
+
+  void Insert(ElementId id, double score) {
+    scores[id] = score;
+    batched_handles[id] = batched.Insert(id, score);
+    single_handles[id] = single.Insert(id, score);
   }
-  ASSERT_EQ(batched->size(), single->size());
-  auto single_it = single->begin();
-  for (const auto& key : *batched) {
+};
+
+/// Applies (id, new score) `moves` to both twins, then requires identical
+/// key sequences.
+void CheckBatchMatchesSingle(
+    BatchTwin* twin, const std::vector<std::pair<ElementId, double>>& moves) {
+  std::vector<RankedList::HandleUpdate> updates;
+  for (const auto& [id, score] : moves) {
+    updates.push_back(
+        {id, twin->scores[id], score, &twin->batched_handles[id]});
+    twin->single.UpdateHandle(
+        {id, twin->scores[id], score, &twin->single_handles[id]});
+    twin->scores[id] = score;
+  }
+  RankedList::BatchScratch scratch;
+  twin->batched.ApplyBatchHandles(updates.data(), updates.size(), &scratch);
+  ASSERT_EQ(twin->batched.size(), twin->single.size());
+  auto single_it = twin->single.begin();
+  for (const auto& key : twin->batched) {
     EXPECT_EQ(key.id, single_it->id);
     EXPECT_EQ(key.score, single_it->score);  // bitwise-identical doubles
     ++single_it;
   }
-  EXPECT_EQ(single_it, single->end());
-  for (const auto& update : updates) {
-    EXPECT_EQ(batched->Get(update.id), single->Get(update.id));
+  EXPECT_EQ(single_it, twin->single.end());
+  for (const auto& [id, score] : moves) {
+    EXPECT_EQ(twin->batched.Get(id), score);
   }
 }
 
 TEST(RankedListBatchTest, BatchEqualsSingleOnSmallList) {
-  RankedList batched;
-  RankedList single;
+  BatchTwin twin;
   for (ElementId id = 0; id < 10; ++id) {
-    batched.Insert(id, static_cast<double>(id));
-    single.Insert(id, static_cast<double>(id));
+    twin.Insert(id, static_cast<double>(id));
   }
   // Mix of upward moves, downward moves, a no-op score and a tie with an
   // untouched element.
-  CheckBatchMatchesSingle(&batched, &single,
-                          {{3, 12.0},
-                           {7, 0.5},
-                           {5, 5.0},
-                           {1, 6.0}});
+  CheckBatchMatchesSingle(&twin, {{3, 12.0}, {7, 0.5}, {5, 5.0}, {1, 6.0}});
 }
 
 TEST(RankedListBatchTest, BatchAcrossManyChunksMatchesReference) {
   // Enough keys for dozens of chunks; batches repeatedly reposition random
-  // subsets and the result must match a per-element Update twin and an
-  // std::set reference at every step.
-  RankedList batched;
-  RankedList single;
+  // subsets and the result must match a per-element UpdateHandle twin and
+  // an std::set reference at every step.
+  BatchTwin twin;
   std::set<RankedList::Key> reference;
-  std::map<ElementId, double> score_of;
   std::mt19937_64 rng(99);
   std::uniform_real_distribution<double> score_dist(0.0, 1.0);
   for (ElementId id = 0; id < 2000; ++id) {
     const double score = score_dist(rng);
-    batched.Insert(id, score);
-    single.Insert(id, score);
+    twin.Insert(id, score);
     reference.insert(RankedList::Key{score, id});
-    score_of[id] = score;
   }
   for (int round = 0; round < 40; ++round) {
     // Batch sizes sweep from a couple of keys to a large fraction of the
     // list (collisions with chunk boundaries, emptied chunks, clustered
     // and spread targets all occur across rounds).
     const std::size_t batch_size = 2 + (rng() % 400);
-    std::vector<RankedList::Tuple> updates;
+    std::vector<std::pair<ElementId, double>> moves;
     std::set<ElementId> used;
     for (std::size_t i = 0; i < batch_size; ++i) {
       const ElementId id = static_cast<ElementId>(rng() % 2000);
@@ -443,16 +472,14 @@ TEST(RankedListBatchTest, BatchAcrossManyChunksMatchesReference) {
       const double score = (rng() % 4 == 0)
                                ? 0.5
                                : score_dist(rng);
-      updates.push_back({id, score});
-      reference.erase(RankedList::Key{score_of[id], id});
+      moves.emplace_back(id, score);
+      reference.erase(RankedList::Key{twin.scores[id], id});
       reference.insert(RankedList::Key{score, id});
-      score_of[id] = score;
     }
-    ASSERT_NO_FATAL_FAILURE(
-        CheckBatchMatchesSingle(&batched, &single, updates));
-    ASSERT_EQ(batched.size(), reference.size());
+    ASSERT_NO_FATAL_FAILURE(CheckBatchMatchesSingle(&twin, moves));
+    ASSERT_EQ(twin.batched.size(), reference.size());
     auto ref_it = reference.begin();
-    for (const auto& key : batched) {
+    for (const auto& key : twin.batched) {
       ASSERT_EQ(key.id, ref_it->id);
       ASSERT_EQ(key.score, ref_it->score);
       ++ref_it;
@@ -461,29 +488,29 @@ TEST(RankedListBatchTest, BatchAcrossManyChunksMatchesReference) {
 }
 
 TEST(RankedListBatchTest, WholeListRepositionedInOneBatch) {
-  RankedList batched;
-  RankedList single;
-  std::vector<RankedList::Tuple> updates;
+  BatchTwin twin;
+  std::vector<std::pair<ElementId, double>> moves;
   for (ElementId id = 0; id < 500; ++id) {
-    batched.Insert(id, static_cast<double>(id));
-    single.Insert(id, static_cast<double>(id));
+    twin.Insert(id, static_cast<double>(id));
     // Reverse the entire order in one sweep.
-    updates.push_back({id, static_cast<double>(500 - id)});
+    moves.emplace_back(id, static_cast<double>(500 - id));
   }
-  CheckBatchMatchesSingle(&batched, &single, updates);
+  CheckBatchMatchesSingle(&twin, moves);
 }
 
 TEST(RankedListBatchTest, NoOpScoresLeaveOrderUntouched) {
   RankedList list;
+  std::vector<RankedList::Handle> handles(100);
   for (ElementId id = 0; id < 100; ++id) {
-    list.Insert(id, static_cast<double>(id));
+    handles[id] = list.Insert(id, static_cast<double>(id));
   }
-  std::vector<RankedList::Tuple> updates;
+  std::vector<RankedList::HandleUpdate> updates;
   for (ElementId id = 0; id < 100; id += 7) {
-    updates.push_back({id, static_cast<double>(id)});
+    updates.push_back({id, static_cast<double>(id), static_cast<double>(id),
+                       &handles[id]});
   }
   RankedList::BatchScratch scratch;
-  list.ApplyBatch(updates.data(), updates.size(), &scratch);
+  list.ApplyBatchHandles(updates.data(), updates.size(), &scratch);
   ElementId expected = 99;
   for (const auto& key : list) {
     EXPECT_EQ(key.id, expected--);
@@ -502,14 +529,13 @@ TEST(RankedListHandleTest, InsertMintsResolvingHandle) {
   EXPECT_EQ(list.ProbeHandle(h, 7, 0.6), RankedList::HandleState::kStale);
 }
 
-TEST(RankedListHandleTest, NoSplitFastPathPerformsZeroIdTableProbes) {
-  // The acceptance contract of the handle pipeline: a reposition whose new
-  // key stays in the handle's chunk touches the id side table ZERO times.
+TEST(RankedListHandleTest, NoSplitRepositionRefreshesHandles) {
+  // Repositions whose new key stays in the handle's chunk: the single and
+  // batched flavors both leave every carried handle resolving exactly.
   RankedList list;
   RankedList::Handle h1 = list.Insert(1, 0.10);
   RankedList::Handle h2 = list.Insert(2, 0.20);
   RankedList::Handle h3 = list.Insert(3, 0.30);
-  const std::uint64_t probes_before = list.id_table_probes();
 
   // Single-update flavor: moves within the only chunk. Batched flavor:
   // one move plus a no-op score.
@@ -521,9 +547,6 @@ TEST(RankedListHandleTest, NoSplitFastPathPerformsZeroIdTableProbes) {
   RankedList::BatchScratch scratch;
   list.ApplyBatchHandles(updates, 2, &scratch);
 
-  // The counter is checked FIRST: Get below is id-keyed and probes.
-  EXPECT_EQ(list.id_table_probes(), probes_before);
-
   EXPECT_EQ(list.ProbeHandle(h1, 1, 0.25), RankedList::HandleState::kValid);
   EXPECT_EQ(list.ProbeHandle(h2, 2, 0.05), RankedList::HandleState::kValid);
   EXPECT_EQ(list.ProbeHandle(h3, 3, 0.30), RankedList::HandleState::kValid);
@@ -532,9 +555,10 @@ TEST(RankedListHandleTest, NoSplitFastPathPerformsZeroIdTableProbes) {
   EXPECT_EQ(list.Get(3), 0.30);
 }
 
-TEST(RankedListHandleTest, StaleHandleFallsBackThroughSideTable) {
-  // Force chunk splits so early handles go stale, then reposition through
-  // them: the operation must still land exactly, only via the side table.
+TEST(RankedListHandleTest, StaleHandleFallsBackToSelfLocatingKey) {
+  // Force chunk splits so early handles go stale, then reposition and
+  // erase through them: the operations must still land exactly, located by
+  // the carried key alone.
   RankedList list;
   std::vector<RankedList::Handle> handles(300);
   std::vector<double> scores(300);
@@ -542,7 +566,6 @@ TEST(RankedListHandleTest, StaleHandleFallsBackThroughSideTable) {
     scores[id] = static_cast<double>(id) / 300.0;
     handles[id] = list.Insert(id, scores[id]);
   }
-  const std::uint64_t probes_before = list.id_table_probes();
   std::size_t stale = 0;
   for (ElementId id = 0; id < 300; ++id) {
     if (list.ProbeHandle(handles[id], id, scores[id]) ==
@@ -550,21 +573,29 @@ TEST(RankedListHandleTest, StaleHandleFallsBackThroughSideTable) {
       ++stale;
     }
     list.UpdateHandle({id, scores[id], scores[id] + 2.0, &handles[id]});
+    scores[id] += 2.0;
     // The refreshed handle must resolve.
-    EXPECT_EQ(list.ProbeHandle(handles[id], id, scores[id] + 2.0),
+    EXPECT_EQ(list.ProbeHandle(handles[id], id, scores[id]),
               RankedList::HandleState::kValid);
   }
   EXPECT_GT(stale, 0u);  // splits actually invalidated some handles
-  EXPECT_GT(list.id_table_probes(), probes_before);  // fallback was taken
   for (ElementId id = 0; id < 300; ++id) {
-    EXPECT_DOUBLE_EQ(list.Get(id), scores[id] + 2.0);
+    EXPECT_DOUBLE_EQ(list.Get(id), scores[id]);
   }
+  // A handle that never resolved (default-constructed) still erases.
+  for (ElementId id = 0; id < 300; id += 2) {
+    list.EraseHandle(id, scores[id], RankedList::Handle{});
+  }
+  EXPECT_EQ(list.size(), 150u);
+  EXPECT_FALSE(list.Contains(0));
+  EXPECT_TRUE(list.Contains(1));
 }
 
 TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
   // Random churn across every mutation flavor (insert / handle update /
-  // id update / handle erase / id erase / batched handle repositions,
-  // with splits and merges throughout). Invariants after every step:
+  // update that leaves the stored handle stale / handle erase / erase
+  // through a dead handle / batched handle repositions, with splits and
+  // merges throughout). Invariants after every step:
   //  - each live element's stored handle either resolves exactly or
   //    reports a miss AND the next operation through it lands correctly;
   //  - Get always matches the shadow model;
@@ -607,14 +638,15 @@ TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
       ASSERT_EQ(list.ProbeHandle(s.handle, it->first, s.score),
                 RankedList::HandleState::kValid);
     } else if (action < 0.65) {
-      // Id-keyed update: the stored handle is NOT refreshed and may go
-      // stale; later handle ops must fall back.
+      // Update through a copy: the stored handle is NOT refreshed and may
+      // go stale; later handle ops must fall back.
       auto it = pick(rng);
       Shadow& s = it->second;
       const double score = score_dist(rng);
       reference.erase(RankedList::Key{s.score, it->first});
       reference.insert(RankedList::Key{score, it->first});
-      list.Update(it->first, score);
+      RankedList::Handle copy = s.handle;
+      list.UpdateHandle({it->first, s.score, score, &copy});
       s.score = score;
     } else if (action < 0.80) {
       // Batched handle repositions over a random subset.
@@ -639,7 +671,7 @@ TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
       shadow.erase(it);
     } else {
       auto it = pick(rng);
-      list.Erase(it->first);
+      list.EraseHandle(it->first, it->second.score, RankedList::Handle{});
       reference.erase(RankedList::Key{it->second.score, it->first});
       shadow.erase(it);
     }
@@ -663,52 +695,11 @@ TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
   }
 }
 
-TEST(RankedListBatchTest, HandleBatchMatchesIdBatchBitwise) {
-  RankedList by_handle;
-  RankedList by_id;
-  std::vector<RankedList::Handle> handles(2000);
-  std::vector<double> scores(2000);
-  std::mt19937_64 rng(123);
-  std::uniform_real_distribution<double> score_dist(0.0, 1.0);
-  for (ElementId id = 0; id < 2000; ++id) {
-    scores[id] = score_dist(rng);
-    handles[id] = by_handle.Insert(id, scores[id]);
-    by_id.Insert(id, scores[id]);
-  }
-  RankedList::BatchScratch scratch_h;
-  RankedList::BatchScratch scratch_i;
-  for (int round = 0; round < 30; ++round) {
-    std::vector<RankedList::HandleUpdate> handle_updates;
-    std::vector<RankedList::Tuple> tuples;
-    std::set<ElementId> used;
-    const std::size_t batch = 2 + rng() % 300;
-    for (std::size_t i = 0; i < batch; ++i) {
-      const ElementId id = static_cast<ElementId>(rng() % 2000);
-      if (!used.insert(id).second) continue;
-      const double score = rng() % 4 == 0 ? 0.5 : score_dist(rng);
-      handle_updates.push_back({id, scores[id], score, &handles[id]});
-      tuples.push_back({id, score});
-      scores[id] = score;
-    }
-    by_handle.ApplyBatchHandles(handle_updates.data(), handle_updates.size(),
-                                &scratch_h);
-    by_id.ApplyBatch(tuples.data(), tuples.size(), &scratch_i);
-    ASSERT_EQ(by_handle.size(), by_id.size());
-    auto id_it = by_id.begin();
-    for (const auto& key : by_handle) {
-      ASSERT_EQ(key.id, id_it->id);
-      ASSERT_EQ(key.score, id_it->score);  // bitwise-identical doubles
-      ++id_it;
-    }
-  }
-}
-
-TEST(RankedListHandleTest, UntrackedListNeverTouchesAnIdTable) {
-  // A handle-carrying engine's list runs with track_ids = false: every
-  // operation resolves through the carried handle or the self-locating
-  // carried key, so the probe counter stays at zero FOREVER — including
-  // across splits and merges, whose side-table rewrites are gone entirely.
-  RankedList list(/*track_ids=*/false);
+TEST(RankedListHandleTest, DiagnosticLookupsSeeHandleChurn) {
+  // Every mutation resolves through the carried handle or the
+  // self-locating carried key, across splits and merges; the full-scan
+  // diagnostics (Contains / Get) then see the final state.
+  RankedList list;
   std::vector<RankedList::Handle> handles(500);
   std::vector<double> scores(500);
   std::mt19937_64 rng(42);
@@ -734,8 +725,6 @@ TEST(RankedListHandleTest, UntrackedListNeverTouchesAnIdTable) {
   for (ElementId id = 0; id < 500; id += 7) {
     list.EraseHandle(id, scores[id], handles[id]);
   }
-  EXPECT_EQ(list.id_table_probes(), 0u);
-  // Diagnostic lookups still work (by scan) and see the final state.
   EXPECT_FALSE(list.Contains(0));
   EXPECT_TRUE(list.Contains(1));
   EXPECT_DOUBLE_EQ(list.Get(1), scores[1]);
@@ -796,19 +785,17 @@ TEST(RankedListDeathTest, InsertRejectsNaNScore) {
 TEST(RankedListDeathTest, UpdateRejectsNaNScore) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   RankedList list;
-  list.Insert(1, 0.5);
-  EXPECT_DEATH(list.Update(1, nan), "isnan");
+  RankedList::Handle handle = list.Insert(1, 0.5);
+  EXPECT_DEATH(list.UpdateHandle({1, 0.5, nan, &handle}), "isnan");
 }
 
 TEST(RankedListDeathTest, ApplyBatchRejectsNaNScore) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   RankedList list;
-  list.Insert(1, 0.5);
-  RankedList::Tuple update;
-  update.id = 1;
-  update.score = nan;
+  RankedList::Handle handle = list.Insert(1, 0.5);
+  const RankedList::HandleUpdate update{1, 0.5, nan, &handle};
   RankedList::BatchScratch scratch;
-  EXPECT_DEATH(list.ApplyBatch(&update, 1, &scratch), "isnan");
+  EXPECT_DEATH(list.ApplyBatchHandles(&update, 1, &scratch), "isnan");
 }
 
 // --------------------------------------------------- Refresh mode (paper) --
@@ -819,8 +806,8 @@ TEST(RankedListIndexTest, SplitInsertMatchesCombinedInsert) {
   // topic (topic-sharded). The result — membership, t_e, entry counts,
   // list keys AND minted handles — must be exactly what the combined
   // Insert produces.
-  RankedListIndex combined(3, /*track_ids=*/false);
-  RankedListIndex split(3, /*track_ids=*/false);
+  RankedListIndex combined(3);
+  RankedListIndex split(3);
   const std::vector<std::pair<TopicId, double>> support = {
       {0, 0.9}, {2, 0.4}};
   std::vector<RankedList::Handle> combined_handles(support.size());

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -422,6 +423,64 @@ TEST(EngineEpochTest, CreateValidatesConfig) {
   EXPECT_TRUE((*engine)->Append(PaperElements()).ok());
 }
 
+/// Elements at `ts` whose topic vectors the ingestion seams must reject:
+/// a topic id outside the paper model's 2 topics, and NaN, infinite and
+/// negative weights.
+std::vector<SocialElement> HostileTopicElements(ElementId first_id,
+                                                Timestamp ts) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<SparseVector> vectors = {
+      SparseVector::FromEntries({{0, 0.5}, {2, 0.5}}),
+      SparseVector::FromEntries({{0, nan}}),
+      SparseVector::FromEntries({{1, inf}}),
+      SparseVector::FromDense({0.5, -0.5}, /*threshold=*/-1.0),
+  };
+  std::vector<SocialElement> out;
+  for (const SparseVector& topics : vectors) {
+    SocialElement e;
+    e.id = first_id++;
+    e.ts = ts;
+    e.doc = Document::FromWordIds({0});
+    e.topics = topics;
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+/// A well-formed element at `ts`.
+SocialElement ValidTopicElement(ElementId id, Timestamp ts) {
+  SocialElement e;
+  e.id = id;
+  e.ts = ts;
+  e.doc = Document::FromWordIds({0});
+  e.topics = SparseVector::FromEntries({{0, 0.5}, {1, 0.5}});
+  return e;
+}
+
+TEST(EngineEpochTest, HostileTopicVectorsReturnStatus) {
+  auto model = PaperTopicModel();
+  KsirEngine engine(PaperEngineConfig(), &model);
+  ASSERT_TRUE(engine.Append(PaperElements()).ok());
+  const std::uint64_t epoch = engine.bucket_epoch();
+  const Timestamp now = engine.now();
+  const std::size_t active = engine.window().num_active();
+  for (SocialElement& bad : HostileTopicElements(100, now + 1)) {
+    // Alone and behind a valid element: the whole bucket is rejected.
+    std::vector<SocialElement> bucket = {ValidTopicElement(99, now + 1),
+                                         std::move(bad)};
+    const Status status = engine.AdvanceTo(now + 1, std::move(bucket));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.message();
+    EXPECT_EQ(engine.bucket_epoch(), epoch);
+    EXPECT_EQ(engine.now(), now);
+    EXPECT_EQ(engine.window().num_active(), active);
+  }
+  ASSERT_TRUE(engine.AdvanceTo(now + 1, {ValidTopicElement(99, now + 1)}).ok());
+  EXPECT_EQ(engine.bucket_epoch(), epoch + 1);
+  EXPECT_TRUE(engine.index().Contains(99));
+}
+
 TEST(EngineEpochTest, ExportSnapshotsCarriesInfluenceSets) {
   auto model = PaperTopicModel();
   KsirEngine engine(PaperEngineConfig(), &model);
@@ -501,6 +560,35 @@ TEST(ServiceTest, OutOfOrderBucketRejectedWithoutDying) {
       (*service)->AdvanceTo(duplicate.ts, {std::move(duplicate)});
   EXPECT_EQ(status.code(), StatusCode::kAlreadyExists);
   // The service keeps serving afterwards.
+  KsirQuery query;
+  query.k = 2;
+  query.x = BalancedQueryVector();
+  EXPECT_TRUE((*service)->Query(query).ok());
+}
+
+TEST(ServiceTest, HostileTopicVectorsRejectedBeforeAnyShardMoves) {
+  auto model = PaperTopicModel();
+  auto service = KsirService::Create(PaperServiceConfig(2), &model);
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE((*service)->Append(PaperElements()).ok());
+  const std::uint64_t epoch = (*service)->epoch();
+  const Timestamp now = (*service)->now();
+  for (SocialElement& bad : HostileTopicElements(100, now + 1)) {
+    std::vector<SocialElement> bucket = {ValidTopicElement(99, now + 1),
+                                         std::move(bad)};
+    const Status status = (*service)->AdvanceTo(now + 1, std::move(bucket));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.message();
+    EXPECT_EQ((*service)->epoch(), epoch);
+    EXPECT_EQ((*service)->now(), now);
+    for (std::size_t s = 0; s < (*service)->num_shards(); ++s) {
+      EXPECT_EQ((*service)->shard(s).now(), now) << "shard " << s;
+    }
+  }
+  // The rejected ids were never routed: the valid element ingests.
+  ASSERT_TRUE(
+      (*service)->AdvanceTo(now + 1, {ValidTopicElement(99, now + 1)}).ok());
+  EXPECT_EQ((*service)->epoch(), epoch + 1);
   KsirQuery query;
   query.k = 2;
   query.x = BalancedQueryVector();
@@ -593,6 +681,35 @@ TEST_F(PlannerPropertyTest, MergeInvariantsHoldOnGeneratorWorkload) {
     EXPECT_GE(service_result->score, 0.95 * engine_result->score)
         << "query " << i << ": sharded " << service_result->score
         << " vs single " << engine_result->score;
+  }
+}
+
+TEST_F(PlannerPropertyTest, PlanStatsSumEveryShardsWork) {
+  // The plan's work counters cover the merge plus every shard. The merge
+  // CELF runs no threshold rounds and pops no list tuples, so an MTTD
+  // plan's rounds and retrievals are exactly the sums of the shards' own.
+  const auto pool = QueryPool(6);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    KsirQuery query;
+    query.k = kK;
+    query.x = pool[i];
+    query.epsilon = 0.1;
+    query.algorithm = Algorithm::kMttd;
+    const auto service_result = service_->Query(query);
+    ASSERT_TRUE(service_result.ok()) << "query " << i;
+    std::size_t rounds = 0;
+    std::size_t retrieved = 0;
+    for (std::size_t s = 0; s < service_->num_shards(); ++s) {
+      const auto shard_result = service_->shard(s).Query(query);
+      ASSERT_TRUE(shard_result.ok());
+      rounds += shard_result->stats.num_candidates_or_rounds;
+      retrieved += shard_result->stats.num_retrieved;
+    }
+    EXPECT_GT(rounds, 0u) << "query " << i;
+    EXPECT_EQ(service_result->stats.num_candidates_or_rounds, rounds)
+        << "query " << i;
+    EXPECT_EQ(service_result->stats.num_retrieved, retrieved)
+        << "query " << i;
   }
 }
 

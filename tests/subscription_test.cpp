@@ -492,9 +492,7 @@ TEST_P(SubscriptionDifferentialTest, EngineFlavorsExact) {
   base.archive_retention = 10;
   base.refresh_mode = RefreshMode::kExact;
   base.score_maintenance = ScoreMaintenance::kIncremental;
-  base.reposition_batch_min = 1;
-  base.carry_handles = true;
-  RunEngineDifferential(GetParam(), base, "handle/exact");
+  RunEngineDifferential(GetParam(), base, "serial/exact");
 
   EngineConfig parallel = base;
   parallel.maintenance_threads = 3;
@@ -514,17 +512,15 @@ TEST_P(SubscriptionDifferentialTest, EngineFlavorsPaper) {
   base.archive_retention = 10;
   base.refresh_mode = RefreshMode::kPaper;
   base.score_maintenance = ScoreMaintenance::kIncremental;
-  base.reposition_batch_min = 1;
-  base.carry_handles = true;
-  RunEngineDifferential(GetParam(), base, "handle/paper");
+  RunEngineDifferential(GetParam(), base, "serial/paper");
 
-  EngineConfig single = base;
-  single.reposition_batch_min = 0;
-  RunEngineDifferential(GetParam(), single, "single/paper");
+  EngineConfig parallel = base;
+  parallel.maintenance_threads = 4;
+  RunEngineDifferential(GetParam(), parallel, "parallel/paper");
 
-  EngineConfig batched = base;
-  batched.carry_handles = false;
-  RunEngineDifferential(GetParam(), batched, "batched/paper");
+  EngineConfig recompute = base;
+  recompute.score_maintenance = ScoreMaintenance::kRecompute;
+  RunEngineDifferential(GetParam(), recompute, "recompute/paper");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SubscriptionDifferentialTest,

@@ -304,31 +304,42 @@ TEST(ExpositionTest, ChromeTraceJsonShape) {
 
 // ---- end-to-end: a live service populates the catalogue --------------------
 
+/// A 2-shard counters-on service that ingested the paper stream with
+/// `maintenance_threads` pipeline participants per shard and answered one
+/// query twice (the second from the cache).
+void BuildIntegrationService(const TopicModel* model,
+                             std::size_t maintenance_threads,
+                             std::unique_ptr<KsirService>* out) {
+  ServiceConfig config;
+  config.engine = PaperEngineConfig();
+  config.engine.maintenance_threads = maintenance_threads;
+  config.num_shards = 2;
+  config.telemetry.level = TelemetryLevel::kCounters;
+  auto service = KsirService::Create(config, model);
+  ASSERT_TRUE(service.ok()) << service.status().message();
+  *out = std::move(service).value();
+  ASSERT_TRUE((*out)->Append(PaperElements()).ok());
+  KsirQuery query;
+  query.k = 2;
+  query.x = BalancedQueryVector();
+  ASSERT_TRUE((*out)->Query(query).ok());
+  ASSERT_TRUE((*out)->Query(query).ok());  // second hits the cache
+}
+
 class TelemetryIntegrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ServiceConfig config;
-    config.engine = PaperEngineConfig();
-    config.num_shards = 2;
-    config.telemetry.level = TelemetryLevel::kCounters;
-    auto service = KsirService::Create(config, &model_);
-    ASSERT_TRUE(service.ok()) << service.status().message();
-    service_ = std::move(service).value();
-    ASSERT_TRUE(service_->Append(PaperElements()).ok());
-    KsirQuery query;
-    query.k = 2;
-    query.x = BalancedQueryVector();
-    ASSERT_TRUE(service_->Query(query).ok());
-    ASSERT_TRUE(service_->Query(query).ok());  // second hits the cache
+    BuildIntegrationService(&model_, /*maintenance_threads=*/0, &service_);
   }
 
   TopicModel model_ = PaperTopicModel();
   std::unique_ptr<KsirService> service_;
 };
 
-TEST_F(TelemetryIntegrationTest, IngestAndQueryPopulateExpectedMetrics) {
-  const RegistrySnapshot snapshot =
-      service_->telemetry().registry().Snapshot();
+/// The metric catalogue of one integration service; run at P = 1 and at
+/// P = 4, since every stage must record on every bucket at any P.
+void CheckIntegrationMetrics(const KsirService& service) {
+  const RegistrySnapshot snapshot = service.telemetry().registry().Snapshot();
   const auto counter = [&](const char* name) {
     const MetricSnapshot* m = snapshot.Find(name);
     EXPECT_NE(m, nullptr) << name;
@@ -358,13 +369,12 @@ TEST_F(TelemetryIntegrationTest, IngestAndQueryPopulateExpectedMetrics) {
                 counter("ksir_planner_best_shard_wins_total"),
             1);
 
-  // Stage timing histograms: every bucket apply times its stages; with 2
-  // shards and 8 buckets there are 16 applies.
+  // Stage timing histograms: every bucket apply times all of its stages,
+  // including buckets with no list work; with 2 shards and 8 buckets there
+  // are 16 applies.
   EXPECT_EQ(hist_count("ksir_maintainer_bucket_apply_seconds"), 16);
   EXPECT_EQ(hist_count("ksir_maintainer_stage_expiry_seconds"), 16);
-  // Regression check: the serial apply path must time its run gather too
-  // (it used to report a permanent 0.000 gather stage because only the
-  // parallel path owned a gather scope).
+  EXPECT_EQ(hist_count("ksir_maintainer_stage_score_seconds"), 16);
   EXPECT_EQ(hist_count("ksir_maintainer_stage_gather_seconds"), 16);
   EXPECT_EQ(hist_count("ksir_maintainer_stage_list_apply_seconds"), 16);
   EXPECT_EQ(hist_count("ksir_engine_advance_seconds"), 16);
@@ -390,6 +400,18 @@ TEST_F(TelemetryIntegrationTest, IngestAndQueryPopulateExpectedMetrics) {
   EXPECT_GT(apply_sum, 0.0);
   EXPECT_GT(stage_sum, 0.0);
   EXPECT_LE(stage_sum, apply_sum * 1.05 + 1e-6);
+}
+
+TEST_F(TelemetryIntegrationTest, IngestAndQueryPopulateExpectedMetrics) {
+  {
+    SCOPED_TRACE("P = 1 (default config)");
+    CheckIntegrationMetrics(*service_);
+  }
+  SCOPED_TRACE("P = 4");
+  std::unique_ptr<KsirService> parallel;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildIntegrationService(&model_, /*maintenance_threads=*/4, &parallel));
+  CheckIntegrationMetrics(*parallel);
 }
 
 TEST_F(TelemetryIntegrationTest, StatsViewsMatchRegistryCounters) {
