@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/flat_hash_map.h"
+#include "common/small_vector.h"
 #include "common/sparse_vector.h"
 #include "common/types.h"
 #include "core/scoring.h"
@@ -57,6 +58,22 @@ class CandidateState {
     /// Remaining non-coverage probability per influenced element.
     FlatHashMap<ElementId, double> survive;
   };
+
+  /// A query topic e shares, with its gain halves accumulated so far.
+  struct SharedTopic {
+    std::size_t index;  // into topics_
+    double p_e;
+    double semantic;
+    double influence;
+  };
+  using SharedTopics = SmallVector<SharedTopic, 8>;
+
+  /// The query topics where p_i(e) > 0, in query order.
+  SharedTopics GatherSharedTopics(const SocialElement& e) const;
+
+  /// sum_i x_i * (lambda * semantic_i + (1-lambda)/eta * influence_i) over
+  /// `shared`, in query-topic order.
+  double SumGains(const SharedTopics& shared) const;
 
   const ScoringContext* ctx_;
   std::vector<TopicState> topics_;

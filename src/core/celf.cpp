@@ -40,8 +40,8 @@ QueryResult RunCelfImpl(const ScoringContext& ctx, const ActiveWindow& window,
 
   // First pass: singleton scores of the ground set.
   std::priority_queue<HeapEntry> heap;
-  const auto seed = [&](const SocialElement& e) {
-    const double score = ctx.ElementScore(e, query.x);
+  const auto seed = [&](const SocialElement& e, const void* user_data) {
+    const double score = ctx.ElementScore(e, query.x, user_data);
     ++result.stats.num_evaluated;
     if (score > 0.0) heap.push(HeapEntry{score, e.id, 0});
   };
@@ -49,8 +49,8 @@ QueryResult RunCelfImpl(const ScoringContext& ctx, const ActiveWindow& window,
     window.ForEachActive(seed);
   } else {
     for (const ElementId id : *candidates) {
-      const SocialElement* e = window.Find(id);
-      if (e != nullptr) seed(*e);
+      const ActiveWindow::SlotView found = window.FindWithSlot(id);
+      if (found.element != nullptr) seed(*found.element, found.user_data);
     }
   }
 

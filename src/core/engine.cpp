@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <mutex>
 #include <string>
 
@@ -35,6 +36,16 @@ std::string_view AlgorithmName(Algorithm algorithm) {
   }
   return "Unknown";
 }
+
+namespace {
+
+/// Lower-case metric-name stem of each algorithm, indexed by Algorithm.
+constexpr const char* kAlgorithmMetricStems[] = {
+    "mtts", "mttd", "celf", "greedy", "sieve_streaming", "topk_representative",
+    "brute_force"};
+static_assert(std::size(kAlgorithmMetricStems) == kNumAlgorithms);
+
+}  // namespace
 
 Status ValidateEngineConfig(const EngineConfig& config) {
   if (config.bucket_length <= 0) {
@@ -100,7 +111,11 @@ KsirEngine::KsirEngine(EngineConfig config, const TopicModel* model,
     : config_(config),
       window_(config.window_length, config.archive_retention),
       index_(model != nullptr ? model->num_topics() : 1),
-      scoring_(model, &window_, config.scoring),
+      // Under kIncremental the maintainer parks every active element's
+      // exact score halves in its window slot; queries read them there.
+      scoring_(model, &window_, config.scoring,
+               /*read_score_cache=*/config.score_maintenance ==
+                   ScoreMaintenance::kIncremental),
       owned_telemetry_(telemetry == nullptr
                            ? std::make_unique<Telemetry>(config.telemetry)
                            : nullptr),
@@ -122,6 +137,23 @@ KsirEngine::KsirEngine(EngineConfig config, const TopicModel* model,
                   config.maintenance_threads, telemetry_) {
   KSIR_CHECK(config.bucket_length > 0);
   KSIR_CHECK(config.window_length >= config.bucket_length);
+  MetricRegistry& reg = telemetry_->registry();
+  for (std::size_t a = 0; a < kNumAlgorithms; ++a) {
+    const std::string stem =
+        std::string("ksir_query_") + kAlgorithmMetricStems[a];
+    const std::string help =
+        std::string(AlgorithmName(static_cast<Algorithm>(a))) + " queries: ";
+    query_counters_[a] = QueryCounters{
+        reg.GetCounter(stem + "_evaluated_total",
+                       help + "singleton scores delta(e, x) evaluated"),
+        reg.GetCounter(stem + "_retrieved_total",
+                       help + "ranked-list tuples popped"),
+        reg.GetCounter(stem + "_gain_evaluations_total",
+                       help + "marginal gains evaluated"),
+        reg.GetCounter(stem + "_rounds_total",
+                       help + "threshold rounds (MTTD) or peak candidates "
+                              "(MTTS)")};
+  }
 }
 
 KsirEngine::~KsirEngine() = default;
@@ -229,23 +261,42 @@ StatusOr<QueryResult> KsirEngine::Query(const KsirQuery& query) const {
     return Status::InvalidArgument("epsilon must be in (0, 1)");
   }
   std::shared_lock lock(mutex_);
+  QueryResult result;
   switch (query.algorithm) {
     case Algorithm::kMtts:
-      return RunMtts(scoring_, index_, query);
+      result = RunMtts(scoring_, index_, query);
+      break;
     case Algorithm::kMttd:
-      return RunMttd(scoring_, index_, query);
+      result = RunMttd(scoring_, index_, query);
+      break;
     case Algorithm::kCelf:
-      return RunCelf(scoring_, window_, query);
+      result = RunCelf(scoring_, window_, query);
+      break;
     case Algorithm::kGreedy:
-      return RunGreedy(scoring_, window_, query);
+      result = RunGreedy(scoring_, window_, query);
+      break;
     case Algorithm::kSieveStreaming:
-      return RunSieveStreaming(scoring_, window_, query);
+      result = RunSieveStreaming(scoring_, window_, query);
+      break;
     case Algorithm::kTopkRepresentative:
-      return RunTopkRepresentative(scoring_, index_, query);
+      result = RunTopkRepresentative(scoring_, index_, query);
+      break;
     case Algorithm::kBruteForce:
-      return RunBruteForce(scoring_, window_, query);
+      result = RunBruteForce(scoring_, window_, query);
+      break;
+    default:
+      return Status::InvalidArgument("unknown algorithm");
   }
-  return Status::InvalidArgument("unknown algorithm");
+  const QueryCounters& counters =
+      query_counters_[static_cast<std::size_t>(query.algorithm)];
+  const QueryStats& stats = result.stats;
+  counters.evaluated->Add(static_cast<std::int64_t>(stats.num_evaluated));
+  counters.retrieved->Add(static_cast<std::int64_t>(stats.num_retrieved));
+  counters.gain_evaluations->Add(
+      static_cast<std::int64_t>(stats.num_gain_evaluations));
+  counters.rounds->Add(
+      static_cast<std::int64_t>(stats.num_candidates_or_rounds));
+  return result;
 }
 
 Timestamp KsirEngine::now() const {

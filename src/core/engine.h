@@ -7,6 +7,7 @@
 #ifndef KSIR_CORE_ENGINE_H_
 #define KSIR_CORE_ENGINE_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <shared_mutex>
@@ -152,7 +153,9 @@ class KsirEngine {
   Status Append(std::vector<SocialElement> elements);
 
   /// Answers one k-SIR query at the current time. Thread-safe with other
-  /// queries; blocks AdvanceTo.
+  /// queries; blocks AdvanceTo. Adds the query's work counters to the
+  /// per-algorithm `ksir_query_<algorithm>_{evaluated,retrieved,
+  /// gain_evaluations,rounds}_total` registry counters.
   StatusOr<QueryResult> Query(const KsirQuery& query) const;
 
   /// Current engine clock.
@@ -204,6 +207,15 @@ class KsirEngine {
   std::unique_ptr<Telemetry> owned_telemetry_;
   Telemetry* telemetry_;
   Histogram* advance_hist_;
+  /// Registry counters of one algorithm's QueryStats work counters.
+  struct QueryCounters {
+    Counter* evaluated;
+    Counter* retrieved;
+    Counter* gain_evaluations;
+    Counter* rounds;
+  };
+  /// Indexed by Algorithm.
+  std::array<QueryCounters, kNumAlgorithms> query_counters_;
   /// Engine-owned maintenance pool (only when parallel maintenance is on
   /// and no shared pool was passed); declared before the maintainer, which
   /// holds the raw pointer.

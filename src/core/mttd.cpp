@@ -69,9 +69,10 @@ QueryResult RunMttd(const ScoringContext& ctx, const RankedListIndex& index,
     pulled.clear();
     cursor.PopWhileAtLeast(tau, &pulled);
     for (const ElementId id : pulled) {
-      const SocialElement* e = ctx.window().Find(id);
-      KSIR_CHECK(e != nullptr);
-      const double score = ctx.ElementScore(*e, query.x);
+      const ActiveWindow::SlotView found = ctx.window().FindWithSlot(id);
+      KSIR_CHECK(found.element != nullptr);
+      const double score =
+          ctx.ElementScore(*found.element, query.x, found.user_data);
       ++result.stats.num_evaluated;
       cached.emplace(id, score);
       heap.push(BufferEntry{score, id});

@@ -40,11 +40,12 @@ QueryResult RunMtts(const ScoringContext& ctx, const RankedListIndex& index,
   while (!cursor.Exhausted() && cursor.UpperBound() >= threshold) {
     const auto popped = cursor.PopNext();
     if (!popped.has_value()) break;
-    const SocialElement* e = ctx.window().Find(*popped);
+    const ActiveWindow::SlotView found = ctx.window().FindWithSlot(*popped);
+    const SocialElement* e = found.element;
     KSIR_CHECK(e != nullptr);
 
     // Line 6: evaluate delta(e, x).
-    const double score = ctx.ElementScore(*e, query.x);
+    const double score = ctx.ElementScore(*e, query.x, found.user_data);
     ++result.stats.num_evaluated;
 
     // Lines 7-9: track delta_max and adjust the candidate range

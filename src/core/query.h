@@ -29,6 +29,10 @@ enum class Algorithm {
   kBruteForce,
 };
 
+/// Number of Algorithm values (numbered from 0; kBruteForce is last).
+inline constexpr std::size_t kNumAlgorithms =
+    static_cast<std::size_t>(Algorithm::kBruteForce) + 1;
+
 /// Stable display name ("MTTS", "CELF", ...).
 std::string_view AlgorithmName(Algorithm algorithm);
 

@@ -2,13 +2,17 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "core/score_cache.h"
 
 namespace ksir {
 
 ScoringContext::ScoringContext(const TopicModel* model,
                                const ActiveWindow* window,
-                               ScoringParams params)
-    : model_(model), window_(window), params_(params) {
+                               ScoringParams params, bool read_score_cache)
+    : model_(model),
+      window_(window),
+      params_(params),
+      read_score_cache_(read_score_cache) {
   KSIR_CHECK(model != nullptr);
   KSIR_CHECK(window != nullptr);
   KSIR_CHECK(params.lambda >= 0.0 && params.lambda <= 1.0);
@@ -77,9 +81,14 @@ double ScoringContext::TopicScore(TopicId topic, const SocialElement& e,
 }
 
 double ScoringContext::ElementScore(const SocialElement& e,
-                                    const SparseVector& x) const {
+                                    const SparseVector& x,
+                                    const void* user_data) const {
   // Sparse-sparse merge over the query's and the element's supports: one
-  // pass, no per-topic Get probes.
+  // pass, no per-topic Get probes. The cache rows are fetched on the first
+  // shared topic only — most elements of a full-window scan share none.
+  // An element outside the window has no rows and scores from scratch.
+  const ScoreCache::TopicList* rows = nullptr;
+  bool rows_fetched = !read_score_cache_;
   double score = 0.0;
   const auto& qs = x.entries();
   const auto& es = e.topics.entries();
@@ -92,7 +101,23 @@ double ScoringContext::ElementScore(const SocialElement& e,
       ++ei;
     } else {
       if (es[ei].second > 0.0) {
-        score += qs[qi].second * TopicScore(qs[qi].first, e, es[ei].second);
+        if (!rows_fetched) {
+          if (user_data == nullptr) {
+            user_data = window_->FindWithSlot(e.id).user_data;
+          }
+          rows = static_cast<const ScoreCache::TopicList*>(user_data);
+          KSIR_DCHECK(rows == nullptr || rows->size() == es.size());
+          rows_fetched = true;
+        }
+        if (rows != nullptr) {
+          // AllocateEntry lays the rows out in topic-vector order.
+          const ScoreCache::TopicHalves& row = (*rows)[ei];
+          KSIR_DCHECK(row.topic == es[ei].first);
+          score += qs[qi].second * (params_.lambda * row.semantic +
+                                    influence_factor_ * row.influence);
+        } else {
+          score += qs[qi].second * TopicScore(qs[qi].first, e, es[ei].second);
+        }
       }
       ++qi;
       ++ei;

@@ -8,6 +8,12 @@
 //
 // The context borrows the topic model (for p_i(w)) and the active window
 // (for I_t(e)); set-level scores and marginal gains live in CandidateState.
+//
+// A context over a window whose user slots hold the incremental
+// maintainer's ScoreCache entries may read delta(e, x) from them
+// (`read_score_cache`): Algorithm 1 keeps both halves of Eq. (2) exact for
+// every active element and topic, so a query need not re-walk I_t(e). Only
+// ElementScore reads the cache; every other method computes from scratch.
 #ifndef KSIR_CORE_SCORING_H_
 #define KSIR_CORE_SCORING_H_
 
@@ -34,9 +40,14 @@ struct ScoringParams {
 /// are const and thread-safe given a quiescent window.
 class ScoringContext {
  public:
-  /// `model` and `window` must outlive the context.
+  /// `model` and `window` must outlive the context. `read_score_cache`
+  /// requires that every active element's window slot holds its
+  /// ScoreCache::TopicList with exact halves whenever ElementScore runs —
+  /// true of a KsirEngine under ScoreMaintenance::kIncremental between
+  /// buckets, and of nothing else (the recompute oracle's rows carry no
+  /// halves; the planner's merge window has no cache).
   ScoringContext(const TopicModel* model, const ActiveWindow* window,
-                 ScoringParams params);
+                 ScoringParams params, bool read_score_cache = false);
 
   /// sigma_i(w, e) given the word frequency and p_i(e).
   double Sigma(TopicId topic, WordId word, std::int32_t frequency,
@@ -66,8 +77,14 @@ class ScoringContext {
                     double topic_prob_e) const;
 
   /// delta(e, x) over the intersection of the query's and the element's
-  /// topic supports. Cost O(l * d) per the paper's analysis.
-  double ElementScore(const SocialElement& e, const SparseVector& x) const;
+  /// topic supports. From scratch this costs O(l * d) per the paper's
+  /// analysis; with the score cache on, each shared topic is one row read,
+  /// and an element sharing no topic with x does no lookup at all.
+  /// `user_data` is e's window slot value when the caller already holds it
+  /// (ActiveWindow::FindWithSlot, ForEachActive); when null, the first
+  /// shared topic looks it up.
+  double ElementScore(const SocialElement& e, const SparseVector& x,
+                      const void* user_data = nullptr) const;
 
   /// (topic, delta_i(e)) for every topic in e's support with p_i(e) > 0.
   std::vector<std::pair<TopicId, double>> AllTopicScores(
@@ -80,11 +97,15 @@ class ScoringContext {
   /// (1 - lambda) / eta, the influence multiplier of Eq. (2).
   double influence_factor() const { return influence_factor_; }
 
+  /// True when ElementScore reads the maintained score cache.
+  bool reads_score_cache() const { return read_score_cache_; }
+
  private:
   const TopicModel* model_;
   const ActiveWindow* window_;
   ScoringParams params_;
   double influence_factor_;
+  bool read_score_cache_;
 };
 
 }  // namespace ksir

@@ -31,9 +31,10 @@ QueryResult RunSieveStreaming(const ScoringContext& ctx,
   double m = 0.0;  // max singleton value seen so far
 
   for (ElementId id : ids) {
-    const SocialElement* e = window.Find(id);
+    const ActiveWindow::SlotView found = window.FindWithSlot(id);
+    const SocialElement* e = found.element;
     KSIR_CHECK(e != nullptr);
-    const double score = ctx.ElementScore(*e, query.x);
+    const double score = ctx.ElementScore(*e, query.x, found.user_data);
     ++result.stats.num_evaluated;
     if (score > m) {
       m = score;

@@ -32,9 +32,10 @@ QueryResult RunTopkRepresentative(const ScoringContext& ctx,
     }
     const auto popped = cursor.PopNext();
     if (!popped.has_value()) break;
-    const SocialElement* e = ctx.window().Find(*popped);
-    KSIR_CHECK(e != nullptr);
-    const double score = ctx.ElementScore(*e, query.x);
+    const ActiveWindow::SlotView found = ctx.window().FindWithSlot(*popped);
+    KSIR_CHECK(found.element != nullptr);
+    const double score =
+        ctx.ElementScore(*found.element, query.x, found.user_data);
     ++result.stats.num_evaluated;
     if (top.size() < static_cast<std::size_t>(query.k)) {
       top.emplace(score, *popped);

@@ -101,8 +101,9 @@ StatusOr<ActiveWindow::UpdateResult> ActiveWindow::Advance(
     // The entry is created BEFORE its references are registered so each
     // gained edge can stash a pointer to the (pool-stable) stored topic
     // vector of its referrer.
-    Entry* entry =
-        pool_.Create(Entry{std::move(e), {}, ts, true, kMinTimestamp});
+    Entry* entry = pool_.Create();
+    entry->element = std::move(e);
+    entry->last_ref_time = ts;
     entries_.emplace(id, entry);
     ++num_active_;
     window_order_.push_back(id);
@@ -288,9 +289,13 @@ void ActiveWindow::MaybeDeactivate(ElementId id, Entry* entry_ptr,
 }
 
 const SocialElement* ActiveWindow::Find(ElementId id) const {
+  return FindWithSlot(id).element;
+}
+
+ActiveWindow::SlotView ActiveWindow::FindWithSlot(ElementId id) const {
   const auto it = entries_.find(id);
-  if (it == entries_.end() || !it->second->active) return nullptr;
-  return &it->second->element;
+  if (it == entries_.end() || !it->second->active) return {};
+  return SlotView{&it->second->element, it->second->user_data};
 }
 
 bool ActiveWindow::IsActive(ElementId id) const {
@@ -319,13 +324,6 @@ Timestamp ActiveWindow::LastReferredAt(ElementId id) const {
   const auto it = entries_.find(id);
   KSIR_CHECK(it != entries_.end() && it->second->active);
   return std::max(it->second->element.ts, it->second->last_ref_time);
-}
-
-void ActiveWindow::ForEachActive(
-    const std::function<void(const SocialElement&)>& fn) const {
-  for (const auto& [id, entry] : entries_) {
-    if (entry->active) fn(entry->element);
-  }
 }
 
 std::vector<ElementId> ActiveWindow::ActiveIds() const {

@@ -28,7 +28,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -125,8 +125,19 @@ class ActiveWindow {
   StatusOr<UpdateResult> Advance(Timestamp now,
                                  std::vector<SocialElement> bucket);
 
+  /// An active element together with the value of its consumer-owned
+  /// slot (see Touched::user_slot).
+  struct SlotView {
+    const SocialElement* element = nullptr;
+    const void* user_data = nullptr;
+  };
+
   /// Active-element lookup; nullptr when the id is inactive or unknown.
   const SocialElement* Find(ElementId id) const;
+
+  /// Find() that also returns the element's slot value, from the same
+  /// table probe. Both fields are null when the id is inactive or unknown.
+  SlotView FindWithSlot(ElementId id) const;
 
   /// True when the element belongs to A_t.
   bool IsActive(ElementId id) const;
@@ -146,9 +157,21 @@ class ActiveWindow {
   /// (the t_e of the paper's ranked-list tuples). `id` must be active.
   Timestamp LastReferredAt(ElementId id) const;
 
-  /// Invokes `fn` for every active element (A_t), unspecified order.
-  void ForEachActive(
-      const std::function<void(const SocialElement&)>& fn) const;
+  /// Invokes `fn(element)` for every active element (A_t), unspecified
+  /// order; a `fn` that also takes a `const void*` receives the element's
+  /// slot value as well, so a scan that needs it probes nothing.
+  template <typename Fn>
+  void ForEachActive(Fn&& fn) const {
+    for (const auto& [id, entry] : entries_) {
+      if (!entry->active) continue;
+      if constexpr (std::is_invocable_v<Fn&, const SocialElement&,
+                                        const void*>) {
+        fn(entry->element, static_cast<const void*>(entry->user_data));
+      } else {
+        fn(entry->element);
+      }
+    }
+  }
 
   /// Snapshot of active element ids, unspecified order.
   std::vector<ElementId> ActiveIds() const;

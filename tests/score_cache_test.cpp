@@ -6,16 +6,21 @@
 // sequences — insertions, referrer gains, referrer expiry, element expiry
 // and resurrection, under both RefreshModes — and under RefreshMode::kPaper
 // the listed scores may only ever be stale-HIGH (sound upper bounds), never
-// stale-low.
+// stale-low. The query-side ElementScore of a kIncremental engine reads the
+// cached halves and must match a from-scratch score; the oracle and the
+// planner's merge window must never read cache rows.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/engine.h"
+#include "core/score_cache.h"
 #include "runtime/worker_pool.h"
 #include "stream/element.h"
 #include "stream_gen.h"
@@ -308,6 +313,178 @@ TEST(ScoreCachePaperModeTest, NextGainRepositionsToExactScore) {
   ASSERT_NE(e1, nullptr);
   EXPECT_NEAR(engine.index().list(0).Get(1),
               engine.scoring().TopicScore(0, *e1), 1e-12);
+}
+
+// ------------------------------------------ cached singleton query scores --
+
+/// |actual - expected| within kTol relative to the larger magnitude (with an
+/// absolute floor of kTol * 1e-6 for true zeros).
+void ExpectRelNear(double actual, double expected, Timestamp t,
+                   ElementId id) {
+  const double scale = std::max({std::abs(actual), std::abs(expected), 1e-6});
+  EXPECT_LE(std::abs(actual - expected), kTol * scale)
+      << "t=" << t << " e=" << id << " actual=" << actual
+      << " expected=" << expected;
+}
+
+/// The engine's query-side ElementScore reads the halves the maintainer
+/// keeps in its score cache (kIncremental). After every bucket of a stream
+/// with expiry, resurrection and dangling references, it must match a
+/// from-scratch ScoringContext over the same window for every active element
+/// and several query vectors — with the slot looked up lazily or handed in.
+void RunCachedScoreStream(std::uint64_t seed, RefreshMode mode,
+                          std::size_t maintenance_threads) {
+  testing::StreamGen gen(seed);
+  TopicModel model = gen.MakeModel();
+  EngineConfig config;
+  config.scoring.lambda = 0.4;
+  config.scoring.eta = 2.0;
+  config.window_length = 6;
+  config.bucket_length = 2;
+  config.archive_retention = 10;
+  config.refresh_mode = mode;
+  config.score_maintenance = ScoreMaintenance::kIncremental;
+  config.maintenance_threads = maintenance_threads;
+  KsirEngine engine(config, &model);
+  ASSERT_TRUE(engine.scoring().reads_score_cache());
+  const ScoringContext scratch(&model, &engine.window(), config.scoring);
+  ASSERT_FALSE(scratch.reads_score_cache());
+
+  std::vector<SparseVector> queries;
+  for (int q = 0; q < 4; ++q) queries.push_back(gen.RandomQueryVector());
+  std::vector<std::pair<TopicId, double>> every_topic;
+  for (TopicId topic = 0; topic < kNumTopics; ++topic) {
+    every_topic.emplace_back(topic, 1.0 / kNumTopics);
+  }
+  queries.push_back(SparseVector::FromEntries(every_topic));
+
+  std::size_t scored = 0;
+  for (Timestamp bucket_end = 2; bucket_end <= 60; bucket_end += 2) {
+    ASSERT_TRUE(engine.AdvanceTo(bucket_end, gen.NextBucket(bucket_end)).ok());
+    const ActiveWindow& window = engine.window();
+    for (const ElementId id : window.ActiveIds()) {
+      const ActiveWindow::SlotView found = window.FindWithSlot(id);
+      ASSERT_NE(found.element, nullptr);
+      ASSERT_NE(found.user_data, nullptr);
+      for (const SparseVector& x : queries) {
+        const double cached = engine.scoring().ElementScore(*found.element, x);
+        EXPECT_EQ(cached, engine.scoring().ElementScore(*found.element, x,
+                                                        found.user_data));
+        ExpectRelNear(cached, scratch.ElementScore(*found.element, x),
+                      bucket_end, id);
+        ++scored;
+      }
+    }
+  }
+  EXPECT_GT(scored, 0u);
+  // The stream reached the cases the cache must survive.
+  EXPECT_GT(engine.maintenance_stats().elements_expired, 0);
+  EXPECT_GT(engine.maintenance_stats().dangling_refs, 0);
+}
+
+struct CachedScoreCase {
+  std::uint64_t seed;
+  RefreshMode mode;
+  std::size_t maintenance_threads;
+};
+
+class CachedScoreTest : public ::testing::TestWithParam<CachedScoreCase> {};
+
+TEST_P(CachedScoreTest, ElementScoreMatchesRecompute) {
+  const CachedScoreCase& c = GetParam();
+  RunCachedScoreStream(c.seed, c.mode, c.maintenance_threads);
+}
+
+std::vector<CachedScoreCase> CachedScoreCases() {
+  std::vector<CachedScoreCase> cases;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const RefreshMode mode : {RefreshMode::kExact, RefreshMode::kPaper}) {
+      for (const std::size_t threads : {1, 4}) {
+        cases.push_back(CachedScoreCase{seed, mode, threads});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsModesParticipants, CachedScoreTest,
+    ::testing::ValuesIn(CachedScoreCases()),
+    [](const ::testing::TestParamInfo<CachedScoreCase>& info) {
+      return "Seed" + std::to_string(info.param.seed) +
+             (info.param.mode == RefreshMode::kExact ? "Exact" : "Paper") +
+             "P" + std::to_string(info.param.maintenance_threads);
+    });
+
+TEST(CachedScoreRowsTest, RecomputeOracleNeverReadsCacheRows) {
+  // The oracle parks listed scores and handles in ScoreCache rows whose
+  // halves stay zero, so a read of them would score every shared topic 0;
+  // its ElementScore must be the from-scratch arithmetic, bit for bit.
+  testing::StreamGen gen(3);
+  TopicModel model = gen.MakeModel();
+  EngineConfig config;
+  config.scoring.eta = 2.0;
+  config.window_length = 6;
+  config.bucket_length = 2;
+  config.archive_retention = 10;
+  config.score_maintenance = ScoreMaintenance::kRecompute;
+  KsirEngine engine(config, &model);
+  EXPECT_FALSE(engine.scoring().reads_score_cache());
+  const ScoringContext scratch(&model, &engine.window(), config.scoring);
+  const SparseVector x = gen.RandomQueryVector(0.5, 0.0);
+  std::size_t positive = 0;
+  for (Timestamp bucket_end = 2; bucket_end <= 40; bucket_end += 2) {
+    ASSERT_TRUE(engine.AdvanceTo(bucket_end, gen.NextBucket(bucket_end)).ok());
+    for (const ElementId id : engine.window().ActiveIds()) {
+      const ActiveWindow::SlotView found = engine.window().FindWithSlot(id);
+      ASSERT_NE(found.user_data, nullptr);
+      for (const ScoreCache::TopicHalves& row :
+           *static_cast<const ScoreCache::TopicList*>(found.user_data)) {
+        ASSERT_EQ(row.semantic, 0.0);
+        ASSERT_EQ(row.influence, 0.0);
+      }
+      const double score = engine.scoring().ElementScore(*found.element, x,
+                                                         found.user_data);
+      EXPECT_EQ(score, scratch.ElementScore(*found.element, x)) << id;
+      if (score > 0.0) ++positive;
+    }
+  }
+  EXPECT_GT(positive, 0u);
+}
+
+TEST(CachedScoreRowsTest, MergeWindowHasNoCacheToRead) {
+  // The planner's merge step replays exported snapshots into a bare
+  // ActiveWindow (no maintainer) and scores it with a default context:
+  // nothing fills the slots, and the context does not read them.
+  testing::StreamGen gen(5);
+  TopicModel model = gen.MakeModel();
+  EngineConfig config;
+  config.scoring.eta = 2.0;
+  config.window_length = 6;
+  config.bucket_length = 2;
+  KsirEngine engine(config, &model);
+  for (Timestamp bucket_end = 2; bucket_end <= 12; bucket_end += 2) {
+    ASSERT_TRUE(engine.AdvanceTo(bucket_end, gen.NextBucket(bucket_end)).ok());
+  }
+  std::vector<SocialElement> replay;
+  for (const ElementSnapshot& snapshot :
+       engine.ExportSnapshots(engine.window().ActiveIds())) {
+    replay.push_back(snapshot.element);
+    replay.back().refs.clear();
+  }
+  ASSERT_FALSE(replay.empty());
+  std::sort(replay.begin(), replay.end(),
+            [](const SocialElement& a, const SocialElement& b) {
+              return a.ts != b.ts ? a.ts < b.ts : a.id < b.id;
+            });
+  const Timestamp max_ts = replay.back().ts;
+  ActiveWindow merge_window(max_ts);
+  ASSERT_TRUE(merge_window.Advance(max_ts, std::move(replay)).ok());
+  const ScoringContext merge_ctx(&model, &merge_window, config.scoring);
+  EXPECT_FALSE(merge_ctx.reads_score_cache());
+  merge_window.ForEachActive([](const SocialElement& e, const void* slot) {
+    EXPECT_EQ(slot, nullptr) << e.id;
+  });
 }
 
 }  // namespace

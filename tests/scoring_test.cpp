@@ -1,11 +1,18 @@
 // Golden tests of the scoring semantics against the paper's worked examples
 // (Examples 3.1, 3.2, 3.4 and the singleton scores of Figure 5), plus
 // CandidateState marginal-gain consistency.
+#include <algorithm>
+#include <cstdint>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/candidate_state.h"
 #include "core/scoring.h"
 #include "paper_fixture.h"
+#include "stream_gen.h"
 
 namespace ksir {
 namespace {
@@ -198,6 +205,164 @@ TEST_F(PaperScoringTest, AllTopicScoresCoversSupport) {
   EXPECT_NEAR(scores[0].second, 0.65, 0.005);
   EXPECT_EQ(scores[1].first, 1);
   EXPECT_NEAR(scores[1].second, 0.03, 0.005);
+}
+
+// ------------------------------- CandidateState vs. a topic-major walk ----
+
+/// The loop order CandidateState used before its single referrer pass: per
+/// query topic, a full walk of I_t(e) with one window probe per referrer.
+/// Kept here as the reference the one-pass gains must equal bit for bit.
+class TopicMajorCandidate {
+ public:
+  TopicMajorCandidate(const ScoringContext* ctx, const SparseVector* x)
+      : ctx_(ctx) {
+    for (const auto& [topic, weight] : x->entries()) {
+      if (weight > 0.0) topics_.push_back(TopicState{topic, weight, {}, {}});
+    }
+  }
+
+  double MarginalGain(const SocialElement& e) const {
+    if (members_.contains(e.id)) return 0.0;
+    double gain = 0.0;
+    for (const TopicState& state : topics_) {
+      const double p_e = e.topics.Get(state.topic);
+      if (p_e <= 0.0) continue;
+      double semantic_gain = 0.0;
+      for (const auto& [word, count] : e.doc.word_counts()) {
+        const double sigma = ctx_->Sigma(state.topic, word, count, p_e);
+        if (sigma <= 0.0) continue;
+        const auto it = state.best_sigma.find(word);
+        const double best = it == state.best_sigma.end() ? 0.0 : it->second;
+        if (sigma > best) semantic_gain += sigma - best;
+      }
+      double influence_gain = 0.0;
+      for (const Referrer& r : ctx_->window().ReferrersOf(e.id)) {
+        const SocialElement* referrer = ctx_->window().Find(r.id);
+        const double p_edge = p_e * referrer->topics.Get(state.topic);
+        if (p_edge <= 0.0) continue;
+        const auto it = state.survive.find(r.id);
+        influence_gain +=
+            p_edge * (it == state.survive.end() ? 1.0 : it->second);
+      }
+      gain += state.query_weight *
+              (ctx_->params().lambda * semantic_gain +
+               ctx_->influence_factor() * influence_gain);
+    }
+    return gain;
+  }
+
+  double Add(const SocialElement& e) {
+    double gain = 0.0;
+    for (TopicState& state : topics_) {
+      const double p_e = e.topics.Get(state.topic);
+      if (p_e <= 0.0) continue;
+      double semantic_gain = 0.0;
+      for (const auto& [word, count] : e.doc.word_counts()) {
+        const double sigma = ctx_->Sigma(state.topic, word, count, p_e);
+        if (sigma <= 0.0) continue;
+        auto [it, inserted] = state.best_sigma.try_emplace(word, sigma);
+        if (inserted) {
+          semantic_gain += sigma;
+        } else if (sigma > it->second) {
+          semantic_gain += sigma - it->second;
+          it->second = sigma;
+        }
+      }
+      double influence_gain = 0.0;
+      for (const Referrer& r : ctx_->window().ReferrersOf(e.id)) {
+        const SocialElement* referrer = ctx_->window().Find(r.id);
+        const double p_edge = p_e * referrer->topics.Get(state.topic);
+        if (p_edge <= 0.0) continue;
+        auto [it, inserted] = state.survive.try_emplace(r.id, 1.0);
+        influence_gain += p_edge * it->second;
+        it->second *= (1.0 - p_edge);
+      }
+      gain += state.query_weight *
+              (ctx_->params().lambda * semantic_gain +
+               ctx_->influence_factor() * influence_gain);
+    }
+    members_.insert(e.id);
+    score_ += gain;
+    return gain;
+  }
+
+  double score() const { return score_; }
+
+ private:
+  struct TopicState {
+    TopicId topic;
+    double query_weight;
+    std::unordered_map<WordId, double> best_sigma;
+    std::unordered_map<ElementId, double> survive;
+  };
+
+  const ScoringContext* ctx_;
+  std::vector<TopicState> topics_;
+  std::unordered_set<ElementId> members_;
+  double score_ = 0.0;
+};
+
+TEST(CandidateStateOrderTest, OneReferrerPassMatchesTopicMajorBitwise) {
+  // Random states over streams where every element also refers to three
+  // hubs (elements 1-3, kept active by their referrers, so each has a long
+  // referrer set) and whose elements and queries span several topics:
+  // every gain and every running score must be bitwise equal to the
+  // topic-major reference, which a change of per-topic sum order breaks.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    testing::StreamGenConfig gen_config;
+    gen_config.num_topics = 6;
+    gen_config.ref_reach = 4;
+    gen_config.max_bucket_elements = 8;
+    testing::StreamGen gen(seed, gen_config);
+    TopicModel model = gen.MakeModel();
+    EngineConfig config;
+    config.scoring.lambda = 0.3;
+    config.scoring.eta = 2.0;
+    config.window_length = 8;
+    config.bucket_length = 2;
+    KsirEngine engine(config, &model);
+    std::size_t checked = 0;
+    std::size_t long_walks = 0;
+    constexpr ElementId kNumHubs = 3;
+    for (Timestamp bucket_end = 2; bucket_end <= 40; bucket_end += 2) {
+      std::vector<SocialElement> bucket = gen.NextBucket(bucket_end);
+      for (SocialElement& e : bucket) {
+        for (ElementId hub = 1; hub <= kNumHubs && hub < e.id; ++hub) {
+          e.refs.push_back(hub);
+        }
+      }
+      ASSERT_TRUE(engine.AdvanceTo(bucket_end, std::move(bucket)).ok());
+      if (bucket_end % 8 != 0) continue;
+      const ActiveWindow& window = engine.window();
+      std::vector<ElementId> ids = window.ActiveIds();
+      if (ids.empty()) continue;
+      std::sort(ids.begin(), ids.end());
+      for (int q = 0; q < 4; ++q) {
+        const SparseVector x = gen.RandomQueryVector(0.8, 0.05);
+        CandidateState state(&engine.scoring(), &x);
+        TopicMajorCandidate reference(&engine.scoring(), &x);
+        for (int step = 0; step < 24; ++step) {
+          const ElementId id =
+              step % 2 == 0 ? ids[gen.rng().NextUint64(ids.size())]
+                            : 1 + static_cast<ElementId>(
+                                      gen.rng().NextUint64(kNumHubs));
+          if (window.Find(id) == nullptr) continue;  // a hub not yet seen
+          const SocialElement& e = *window.Find(id);
+          if (window.ReferrersOf(id).size() >= 3) ++long_walks;
+          ASSERT_EQ(state.MarginalGain(e), reference.MarginalGain(e))
+              << "seed=" << seed << " t=" << bucket_end << " e=" << id;
+          ++checked;
+          if (!state.Contains(id) && gen.rng().NextUint64(2) == 0) {
+            ASSERT_EQ(state.Add(e), reference.Add(e))
+                << "seed=" << seed << " t=" << bucket_end << " e=" << id;
+            ASSERT_EQ(state.score(), reference.score());
+          }
+        }
+      }
+    }
+    EXPECT_GT(checked, 0u);
+    EXPECT_GT(long_walks, 0u);
+  }
 }
 
 }  // namespace

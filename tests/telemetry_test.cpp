@@ -27,6 +27,7 @@ using ::ksir::testing::BalancedQueryVector;
 using ::ksir::testing::PaperElements;
 using ::ksir::testing::PaperEngineConfig;
 using ::ksir::testing::PaperTopicModel;
+using ::ksir::testing::SkewedQueryVector;
 
 // ---- counters and gauges ---------------------------------------------------
 
@@ -368,6 +369,13 @@ void CheckIntegrationMetrics(const KsirService& service) {
   EXPECT_EQ(counter("ksir_planner_merge_wins_total") +
                 counter("ksir_planner_best_shard_wins_total"),
             1);
+  // The planner miss ran the (default) MTTD query on both shard engines;
+  // no other algorithm ran.
+  EXPECT_GT(counter("ksir_query_mttd_evaluated_total"), 0);
+  EXPECT_GT(counter("ksir_query_mttd_retrieved_total"), 0);
+  EXPECT_GE(counter("ksir_query_mttd_rounds_total"), 2);
+  EXPECT_EQ(counter("ksir_query_celf_evaluated_total"), 0);
+  EXPECT_EQ(counter("ksir_query_mtts_evaluated_total"), 0);
 
   // Stage timing histograms: every bucket apply times all of its stages,
   // including buckets with no list work; with 2 shards and 8 buckets there
@@ -438,6 +446,79 @@ TEST_F(TelemetryIntegrationTest, ExpositionsRenderLiveMetrics) {
   EXPECT_NE(text.find("ksir_service_queries_total 2"), std::string::npos);
   const std::string json = service_->MetricsJsonDump();
   EXPECT_NE(json.find("ksir_planner_plan_seconds"), std::string::npos);
+}
+
+TEST(TelemetryQueryCountersTest, EngineQueryAddsItsStatsPerAlgorithm) {
+  // Every KsirEngine::Query adds its QueryStats to its own algorithm's
+  // counters once; the other algorithms' counters stay put.
+  TopicModel model = PaperTopicModel();
+  Telemetry telemetry;
+  KsirEngine engine(PaperEngineConfig(), &model, nullptr, &telemetry);
+  ASSERT_TRUE(engine.Append(PaperElements()).ok());
+  const struct {
+    Algorithm algorithm;
+    const char* stem;
+  } kAlgorithms[] = {
+      {Algorithm::kMtts, "mtts"},
+      {Algorithm::kMttd, "mttd"},
+      {Algorithm::kCelf, "celf"},
+      {Algorithm::kGreedy, "greedy"},
+      {Algorithm::kSieveStreaming, "sieve_streaming"},
+      {Algorithm::kTopkRepresentative, "topk_representative"},
+      {Algorithm::kBruteForce, "brute_force"},
+  };
+  const auto counter = [&](const std::string& name) {
+    const RegistrySnapshot snapshot = telemetry.registry().Snapshot();
+    const MetricSnapshot* m = snapshot.Find(name);
+    EXPECT_NE(m, nullptr) << name;
+    return m != nullptr ? m->value : -1;
+  };
+  const auto evaluated_all = [&] {
+    std::int64_t total = 0;
+    for (const auto& entry : kAlgorithms) {
+      total +=
+          counter(std::string("ksir_query_") + entry.stem + "_evaluated_total");
+    }
+    return total;
+  };
+  std::int64_t evaluated_total = 0;
+  for (const auto& [algorithm, stem] : kAlgorithms) {
+    SCOPED_TRACE(stem);
+    const std::string prefix = std::string("ksir_query_") + stem;
+    QueryStats sum;
+    for (const SparseVector& x :
+         {BalancedQueryVector(), SkewedQueryVector()}) {
+      KsirQuery query;
+      query.k = 2;
+      query.x = x;
+      query.algorithm = algorithm;
+      const auto result = engine.Query(query);
+      ASSERT_TRUE(result.ok());
+      sum.num_evaluated += result->stats.num_evaluated;
+      sum.num_retrieved += result->stats.num_retrieved;
+      sum.num_gain_evaluations += result->stats.num_gain_evaluations;
+      sum.num_candidates_or_rounds += result->stats.num_candidates_or_rounds;
+    }
+    EXPECT_GT(sum.num_evaluated + sum.num_gain_evaluations, 0u);
+    EXPECT_EQ(counter(prefix + "_evaluated_total"),
+              static_cast<std::int64_t>(sum.num_evaluated));
+    EXPECT_EQ(counter(prefix + "_retrieved_total"),
+              static_cast<std::int64_t>(sum.num_retrieved));
+    EXPECT_EQ(counter(prefix + "_gain_evaluations_total"),
+              static_cast<std::int64_t>(sum.num_gain_evaluations));
+    EXPECT_EQ(counter(prefix + "_rounds_total"),
+              static_cast<std::int64_t>(sum.num_candidates_or_rounds));
+    evaluated_total += static_cast<std::int64_t>(sum.num_evaluated);
+    // Only this algorithm's counters moved: the evaluated counters of all
+    // algorithms still sum to the queries run so far.
+    EXPECT_EQ(evaluated_all(), evaluated_total);
+  }
+  // A rejected query records nothing.
+  KsirQuery bad;
+  bad.k = 0;
+  bad.x = BalancedQueryVector();
+  EXPECT_FALSE(engine.Query(bad).ok());
+  EXPECT_EQ(evaluated_all(), evaluated_total);
 }
 
 TEST(TelemetryTracingTest, ServiceTracingProducesSpans) {

@@ -44,6 +44,14 @@ REQUIRED_COUNTERS_POSITIVE = [
     "ksir_sub_activated_total",
     "ksir_sub_evaluations_total",
     "ksir_sub_deltas_total",
+    # Per-algorithm query work: the sim's ad-hoc MTTS and MTTD queries and
+    # the MTTD standing rounds all run through KsirEngine::Query.
+    "ksir_query_mtts_evaluated_total",
+    "ksir_query_mtts_retrieved_total",
+    "ksir_query_mttd_evaluated_total",
+    "ksir_query_mttd_retrieved_total",
+    "ksir_query_mttd_gain_evaluations_total",
+    "ksir_query_mttd_rounds_total",
 ]
 REQUIRED_COUNTERS_NONNEGATIVE = [
     "ksir_maintainer_expired_total",
@@ -61,6 +69,12 @@ REQUIRED_COUNTERS_NONNEGATIVE = [
     # shared hits need >1 subscription in an activated group that round.
     "ksir_sub_skipped_total",
     "ksir_sub_shared_hits_total",
+] + [
+    # Every engine registers all four work counters of every algorithm.
+    f"ksir_query_{algorithm}_{work}_total"
+    for algorithm in ("mtts", "mttd", "celf", "greedy", "sieve_streaming",
+                      "topk_representative", "brute_force")
+    for work in ("evaluated", "retrieved", "gain_evaluations", "rounds")
 ]
 REQUIRED_HISTOGRAMS_POPULATED = [
     "ksir_maintainer_bucket_apply_seconds",
