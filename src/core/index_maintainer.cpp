@@ -1,7 +1,6 @@
 #include "core/index_maintainer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/check.h"
@@ -255,16 +254,13 @@ void IndexMaintainer::ApplyIncremental(
       cache_.Erase(t.id);
     }
     if (!erase_topics_.empty()) {
-      // Canonical topic order keeps the topic -> shard assignment (and so
-      // the worker each list lands on) stable across buckets and runs.
-      std::sort(erase_topics_.begin(), erase_topics_.end());
       const std::size_t shards = std::min(workers_, erase_topics_.size());
       for (std::size_t i = 0; i < erase_topics_.size(); ++i) {
         const auto slot = static_cast<std::size_t>(erase_topics_[i]);
         erase_seen_[slot] = 0;  // restored for the next bucket
         topic_shard_[slot] = static_cast<std::uint32_t>(i % shards);
       }
-      ParallelRunAffine(
+      ParallelRun(
           pool_, shards, shards, [&](std::size_t, std::size_t shard) {
             // Each shard scans the full item sequence and executes only its
             // topics' erases: per-list element order is preserved by
@@ -332,24 +328,16 @@ void IndexMaintainer::ApplyIncremental(
     // composition. Elements are disjoint — each one owns its cache rows —
     // and each participant folds through its own dense accumulator, so the
     // stage shares nothing mutable and allocates nothing.
-    const std::size_t total = num_fresh + touched_items_.size();
-    if (total > 0) {
-      std::atomic<std::size_t> cursor{0};
-      ParallelRun(pool_, std::min(workers_, total), [&](std::size_t p) {
-        StampedAccumulator& acc = worker_acc_[p];
-        for (;;) {
-          const std::size_t i =
-              cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= total) return;
-          if (i < num_fresh) {
-            cache_.ComputeHalves(*fresh_items_[i].element,
-                                 fresh_items_[i].halves, &acc);
-          } else {
-            ProcessTouched(&touched_items_[i - num_fresh], &acc);
-          }
-        }
-      });
-    }
+    ParallelRun(pool_, workers_, num_fresh + touched_items_.size(),
+                [&](std::size_t p, std::size_t i) {
+                  StampedAccumulator& acc = worker_acc_[p];
+                  if (i < num_fresh) {
+                    cache_.ComputeHalves(*fresh_items_[i].element,
+                                         fresh_items_[i].halves, &acc);
+                  } else {
+                    ProcessTouched(&touched_items_[i - num_fresh], &acc);
+                  }
+                });
   }
 
   {
@@ -422,17 +410,15 @@ void IndexMaintainer::ApplyIncremental(
       insert_off[touched_.size()] = ins;
       update_off[touched_.size()] = upd;
       // Stage 4b (topic-sharded): the scatter itself. Each shard owns a
-      // disjoint topic subset — the same i % shards residue stage 5
-      // prefers through ParallelRunAffine, so the participant that writes
-      // a topic's runs is the one that applies them next. A shard scans
-      // the element-ordered item lists and advances only its topics'
-      // cursors, so the runs land in element order for any shard count.
+      // disjoint topic subset. A shard scans the element-ordered item
+      // lists and advances only its topics' cursors, so the runs land in
+      // element order for any shard count.
       const std::size_t shards = std::min(workers_, touched_.size());
       for (std::size_t i = 0; i < touched_.size(); ++i) {
         topic_shard_[static_cast<std::size_t>(touched_[i])] =
             static_cast<std::uint32_t>(i % shards);
       }
-      ParallelRunAffine(
+      ParallelRun(
           pool_, shards, shards, [&](std::size_t, std::size_t shard) {
             for (const FreshItem& item : fresh_items_) {
               const ElementId id = item.element->id;
@@ -467,11 +453,9 @@ void IndexMaintainer::ApplyIncremental(
   // participant and no list state is shared across topics, so there is no
   // list-level locking; handle minting and the ScoreCache handle
   // write-backs land identically for any P because each list executes the
-  // same operation sequence. ParallelRunAffine gives unit i the i % P
-  // residue that scattered its runs in stage 4b — warm caches — while the
-  // steal sweep keeps the stage work-conserving; per-participant
-  // BatchScratch keeps the merge sweeps allocation- and contention-free.
-  ParallelRunAffine(
+  // same operation sequence. Per-participant BatchScratch keeps the merge
+  // sweeps allocation- and contention-free.
+  ParallelRun(
       pool_, workers_, touched_.size(), [&](std::size_t p, std::size_t i) {
         RankedList::BatchScratch& scratch = worker_scratch_[p];
         const TopicId topic = touched_[i];

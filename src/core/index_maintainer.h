@@ -75,11 +75,10 @@ enum class ScoreMaintenance {
 ///      (fresh inserts then the reposition run) is claimed by exactly one
 ///      participant, so no list-level locking; per-participant
 ///      BatchScratch keeps the merge sweeps allocation-free.
-/// The topic-keyed stages run through ParallelRunAffine, so the same topic
-/// shard lands on the same pool worker bucket after bucket (cache
-/// affinity; see runtime/worker_pool.h). Every list sees the same
-/// operation sequence whatever P is, so the resulting lists, handles and
-/// ScoreCache state are BITWISE identical across participant counts.
+/// The parallel stages fan out through ParallelRun (see
+/// runtime/worker_pool.h). Every list sees the same operation sequence
+/// whatever P is, so the resulting lists, handles and ScoreCache state are
+/// BITWISE identical across participant counts.
 ///
 /// kRecompute runs ApplyRecompute instead: the oracle. It rescores every
 /// inserted or repositioned element from scratch and writes the lists
@@ -241,8 +240,8 @@ class IndexMaintainer {
   std::vector<TopicId> touched_;
   /// Backs the per-element buffers and per-topic runs; reset every bucket.
   Arena run_arena_;
-  /// Per-worker scratch: dense accumulators for the element stage, batch
-  /// scratch for the topic stage — indexed by ParallelRun participant, so
+  /// Per-participant scratch: dense accumulators for the element stage,
+  /// batch scratch for the topic stage — indexed by ParallelRun's `p`, so
   /// the stages allocate nothing and contend on nothing.
   std::vector<StampedAccumulator> worker_acc_;
   std::vector<RankedList::BatchScratch> worker_scratch_;

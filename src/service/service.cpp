@@ -48,8 +48,7 @@ KsirService::KsirService(ServiceConfig config, const TopicModel* model)
     pool_ = config_.shared_pool;
   } else {
     owned_pool_ =
-        MakeWorkerPool(config_.num_workers, default_workers, telemetry_.get(),
-                       PoolOptions{config_.pin_workers});
+        MakeWorkerPool(config_.num_workers, default_workers, telemetry_.get());
     pool_ = owned_pool_.get();
   }
   WorkerPool* maintenance_pool =

@@ -61,12 +61,6 @@ struct ServiceConfig {
   /// near num_shards * maintenance_threads to run both levels fully
   /// parallel.
   std::size_t num_workers = 0;
-  /// Pin the service-owned pool's workers to CPUs (PoolOptions::
-  /// pin_threads): with the maintainer's shard-affine stages, the same
-  /// topic shard then lands on the same core bucket after bucket.
-  /// Best-effort — refused pins are counted, never fatal. Ignored when
-  /// `shared_pool` is passed (the pool's owner decided its pinning).
-  bool pin_workers = false;
   /// Optional externally owned pool (must outlive the service): lets
   /// several services / engines in one process share one pool. nullptr =
   /// the service builds its own through the runtime factory.

@@ -44,10 +44,8 @@ SocialElement RandomElement(Rng* rng, ElementId id, Timestamp ts,
 
 /// Feeds the same random stream to three engines bucket by bucket — the
 /// staged pipeline at P = 1 (the production default), the same pipeline at
-/// P = 4 on an externally shared CPU-pinned pool (topic-sharded expiry,
-/// gather and list apply riding ParallelRunAffine; exercises SubmitTo
-/// placement, the steal path and pin fallback on restricted runners) and
-/// the recompute oracle — checking list-state equality after every advance.
+/// P = 4 on an externally shared pool (topic-sharded expiry, gather and
+/// list apply fanned out through ParallelRun) and the recompute oracle — checking list-state equality after every advance.
 /// The two pipeline engines must agree bitwise (every list sees the same
 /// operation sequence whatever P is); the oracle agrees within kTol.
 void RunEquivalenceStream(std::uint64_t seed, RefreshMode mode) {
@@ -70,8 +68,8 @@ void RunEquivalenceStream(std::uint64_t seed, RefreshMode mode) {
   recompute_config.score_maintenance = ScoreMaintenance::kRecompute;
 
   KsirEngine serial(serial_config, &model);
-  auto pinned_pool = MakeWorkerPool(3, 1, nullptr, PoolOptions{true});
-  KsirEngine parallel(parallel_config, &model, pinned_pool.get());
+  auto shared_pool = MakeWorkerPool(3);
+  KsirEngine parallel(parallel_config, &model, shared_pool.get());
   KsirEngine recompute(recompute_config, &model);
 
   ElementId next_id = 1;

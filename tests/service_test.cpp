@@ -3,10 +3,8 @@
 // epoch-keyed result cache, and the service façade.
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -88,70 +86,11 @@ TEST(WorkerPoolTest, ThrowingGroupTaskPropagatesToGroupWaiter) {
   group.Wait();
 }
 
-TEST(WorkerPoolTest, StealKeepsAffineSubmissionWorkConserving) {
-  // SubmitTo homes tasks on one worker's queue; an idle neighbor must
-  // steal them rather than sit out (affinity is a preference, never a
-  // stall), and the steal counter must see the migration.
-  Telemetry telemetry;
-  WorkerPool pool(2, &telemetry);
-  Counter* steals = telemetry.registry().GetCounter("ksir_pool_steals_total");
-  const std::int64_t steals_before = steals->Value();
-  std::atomic<int> count{0};
-  std::mutex m;
-  std::condition_variable cv;
-  bool release = false;
-  // Occupy one worker until the whole batch has run: whichever worker
-  // holds the blocker, the other must cross queues for some of the work.
-  pool.SubmitTo(0, [&] {
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return release; });
-  });
-  for (int i = 0; i < 8; ++i) {
-    pool.SubmitTo(0, [&] {
-      if (count.fetch_add(1) + 1 == 8) {
-        std::lock_guard<std::mutex> lock(m);
-        release = true;
-        cv.notify_all();
-      }
-    });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 8);
-  EXPECT_GE(steals->Value() - steals_before, 1);
-  // Drained pool: every per-worker depth gauge (and the aggregate) is 0.
-  EXPECT_EQ(
-      telemetry.registry().GetGauge("ksir_pool_queue_depth")->Value(), 0);
-  EXPECT_EQ(
-      telemetry.registry().GetGauge("ksir_pool_queue_depth_worker_0")->Value(),
-      0);
-  EXPECT_EQ(
-      telemetry.registry().GetGauge("ksir_pool_queue_depth_worker_1")->Value(),
-      0);
-}
-
-TEST(WorkerPoolTest, PinningIsBestEffortAndAccounted) {
-  // Every worker either got its CPU or was counted as a refused pin —
-  // never a construction failure, and the pool works either way.
-  Telemetry telemetry;
-  WorkerPool pool(3, &telemetry, PoolOptions{/*pin_threads=*/true});
-  const auto failures = static_cast<std::size_t>(
-      telemetry.registry()
-          .GetCounter("ksir_pool_pin_failures_total")
-          ->Value());
-  EXPECT_EQ(pool.pinned_threads() + failures, 3u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 32);
-}
-
-TEST(WorkerPoolTest, ParallelRunAffineExecutesEveryUnitExactlyOnce) {
+TEST(WorkerPoolTest, ParallelRunExecutesEveryUnitExactlyOnce) {
   WorkerPool pool(3);
-  constexpr std::size_t kUnits = 257;  // not a multiple of any stride
+  constexpr std::size_t kUnits = 257;  // not a multiple of any P
   const auto runs = std::make_unique<std::atomic<int>[]>(kUnits);
-  ParallelRunAffine(&pool, 4, kUnits, [&](std::size_t p, std::size_t u) {
+  ParallelRun(&pool, 4, kUnits, [&](std::size_t p, std::size_t u) {
     EXPECT_LT(p, 4u);
     runs[u].fetch_add(1);
   });
@@ -160,20 +99,64 @@ TEST(WorkerPoolTest, ParallelRunAffineExecutesEveryUnitExactlyOnce) {
   }
   // More participants than units degrades to one participant per unit.
   std::atomic<int> count{0};
-  ParallelRunAffine(&pool, 8, 3,
-                    [&](std::size_t, std::size_t) { count.fetch_add(1); });
+  ParallelRun(&pool, 8, 3,
+              [&](std::size_t p, std::size_t) {
+                EXPECT_LT(p, 3u);
+                count.fetch_add(1);
+              });
   EXPECT_EQ(count.load(), 3);
   // A unit's exception reaches the caller and the pool stays usable.
-  EXPECT_THROW(
-      ParallelRunAffine(&pool, 4, 8,
-                        [](std::size_t, std::size_t u) {
-                          if (u == 5) throw std::runtime_error("affine boom");
-                        }),
-      std::runtime_error);
+  EXPECT_THROW(ParallelRun(&pool, 4, 8,
+                           [](std::size_t, std::size_t u) {
+                             if (u == 5) throw std::runtime_error("run boom");
+                           }),
+               std::runtime_error);
   pool.WaitIdle();
-  ParallelRunAffine(&pool, 4, 4,
-                    [&](std::size_t, std::size_t) { count.fetch_add(1); });
+  ParallelRun(&pool, 4, 4,
+              [&](std::size_t, std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 7);
+}
+
+TEST(WorkerPoolTest, ParallelRunNeverSharesAParticipantIndex) {
+  // The maintainer keys per-participant scratch on p (stage 5's
+  // worker_scratch_[p]), so two fn calls that overlap in time must carry
+  // different p. Each call marks its p busy across a short spin; a second
+  // call finding the mark set would be a shared index.
+  WorkerPool pool(3);
+  constexpr std::size_t kParticipants = 4;
+  std::atomic<int> busy[kParticipants] = {};
+  std::atomic<int> shared{0};
+  std::atomic<int> count{0};
+  for (int round = 0; round < 20; ++round) {
+    ParallelRun(&pool, kParticipants, 64, [&](std::size_t p, std::size_t) {
+      ASSERT_LT(p, kParticipants);
+      if (busy[p].exchange(1) != 0) shared.fetch_add(1);
+      for (int spin = 0; spin < 200; ++spin) std::this_thread::yield();
+      busy[p].store(0);
+      count.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(shared.load(), 0);
+  EXPECT_EQ(count.load(), 20 * 64);
+}
+
+TEST(WorkerPoolTest, NestedParallelRunOnSaturatedPoolCompletes) {
+  // The only worker runs the outer task, so none of the inner call's
+  // helpers can start until it returns: the caller (participant 0) must
+  // finish every unit itself instead of waiting on queued helpers.
+  WorkerPool pool(1);
+  std::atomic<int> count{0};
+  std::atomic<bool> inner_returned{false};
+  pool.Submit([&]() {
+    ParallelRun(&pool, 4, 64, [&](std::size_t p, std::size_t) {
+      EXPECT_EQ(p, 0u);
+      count.fetch_add(1);
+    });
+    inner_returned.store(true);
+  });
+  pool.WaitIdle();
+  EXPECT_TRUE(inner_returned.load());
+  EXPECT_EQ(count.load(), 64);
 }
 
 // ---- shard router ----------------------------------------------------------
@@ -1067,14 +1050,15 @@ TEST(ParallelMaintenanceTest, EngineAndServiceShareOneProcessPool) {
   EXPECT_GE(service_result->score, 0.0);
 }
 
-TEST(ParallelMaintenanceTest, PinnedServiceChurnWithRebalancingMatchesSerial) {
-  // TSan-covered end-to-end churn of the shard-affine runtime: a sharded
-  // service with CPU-pinned workers, four-way parallel maintenance (the
-  // topic-sharded expiry / gather / list-apply stages) and router
-  // rebalancing ingests an expiry + resurrection heavy stream while a
-  // reader hammers queries. Routing depends only on the element stream,
-  // so the shard engines — and therefore every query — must land exactly
-  // where a serial-maintenance service with the same config lands.
+TEST(ParallelMaintenanceTest, ServiceChurnWithRebalancingMatchesSerial) {
+  // TSan-covered end-to-end churn of the runtime: a sharded service whose
+  // one pool runs shard advances, query fan-out and four-way parallel
+  // maintenance (the topic-sharded expiry / gather / list-apply stages)
+  // nested inside the advances, with router rebalancing, ingests an
+  // expiry + resurrection heavy stream while a reader hammers queries.
+  // Routing depends only on the element stream, so the shard engines — and
+  // therefore every query — must land exactly where a serial-maintenance
+  // service with the same config lands.
   constexpr int kTopics = 6;
   Rng rng(4321);
   std::vector<std::vector<double>> matrix(kTopics, std::vector<double>(48));
@@ -1094,14 +1078,13 @@ TEST(ParallelMaintenanceTest, PinnedServiceChurnWithRebalancingMatchesSerial) {
   base.engine.max_shard_imbalance = 1.2;
   base.num_shards = 2;
 
-  ServiceConfig pinned_config = base;
-  pinned_config.engine.maintenance_threads = 4;
-  pinned_config.pin_workers = true;
+  ServiceConfig parallel_config = base;
+  parallel_config.engine.maintenance_threads = 4;
 
   auto serial = KsirService::Create(base, &model);
-  auto pinned = KsirService::Create(pinned_config, &model);
+  auto parallel = KsirService::Create(parallel_config, &model);
   ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(pinned.ok());
+  ASSERT_TRUE(parallel.ok());
   ASSERT_TRUE((*serial)->Append(elements).ok());
 
   std::atomic<bool> stop{false};
@@ -1112,10 +1095,10 @@ TEST(ParallelMaintenanceTest, PinnedServiceChurnWithRebalancingMatchesSerial) {
     query.algorithm = Algorithm::kMttd;
     query.x = SparseVector::FromEntries({{0, 0.5}, {2, 0.5}});
     while (!stop.load(std::memory_order_acquire)) {
-      ASSERT_TRUE((*pinned)->Query(query).ok());
+      ASSERT_TRUE((*parallel)->Query(query).ok());
     }
   });
-  ASSERT_TRUE((*pinned)->Append(elements).ok());
+  ASSERT_TRUE((*parallel)->Append(elements).ok());
   stop.store(true, std::memory_order_release);
   reader.join();
 
@@ -1127,21 +1110,18 @@ TEST(ParallelMaintenanceTest, PinnedServiceChurnWithRebalancingMatchesSerial) {
     query.algorithm = algorithm;
     query.x = SparseVector::FromEntries({{1, 0.6}, {4, 0.4}});
     const auto expected = (*serial)->Query(query);
-    const auto actual = (*pinned)->Query(query);
+    const auto actual = (*parallel)->Query(query);
     ASSERT_TRUE(expected.ok() && actual.ok());
     EXPECT_EQ(actual->element_ids, expected->element_ids)
         << AlgorithmName(algorithm);
     EXPECT_EQ(actual->score, expected->score) << AlgorithmName(algorithm);
   }
 
-  // Pool observability of the pinned run: tasks flowed, and every worker
-  // either got its CPU or was counted as a refused pin (never both silent).
-  MetricRegistry& reg = (*pinned)->telemetry().registry();
+  // Pool observability of the parallel run: tasks flowed, and the
+  // drained pool reports an empty queue.
+  MetricRegistry& reg = (*parallel)->telemetry().registry();
   EXPECT_GT(reg.GetCounter("ksir_pool_tasks_total")->Value(), 0);
-  const std::int64_t pin_failures =
-      reg.GetCounter("ksir_pool_pin_failures_total")->Value();
-  EXPECT_GE(pin_failures, 0);
-  EXPECT_LE(pin_failures, 4);
+  EXPECT_EQ(reg.GetGauge("ksir_pool_queue_depth")->Value(), 0);
 }
 
 // ---- result cache unit behavior -------------------------------------------

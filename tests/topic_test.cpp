@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -39,7 +40,11 @@ SyntheticCorpus MakeSeparableCorpus(int num_topics, int block,
   out.num_topics = num_topics;
   out.block = block;
   for (int w = 0; w < num_topics * block; ++w) {
-    out.vocab.GetOrAdd("w" + std::to_string(w));
+    // Appending to a prefix string instead of `"w" + std::to_string(w)`:
+    // GCC 12's inlined operator+ flags the latter with a false -Wrestrict.
+    std::string name = "w";
+    name += std::to_string(w);
+    out.vocab.GetOrAdd(name);
   }
   out.corpus = std::make_unique<Corpus>(&out.vocab);
   Rng rng(seed);
